@@ -85,8 +85,15 @@ def _records_from_map(prefix, instance, suite, mapping) -> List[ReportRecord]:
 
 # ------------------------------------------------------------ suite runners
 
+def _instance(spec: str):
+    try:
+        return make_instance(spec)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def run_axioms(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     t0 = time.perf_counter()
     verdicts = core.check_axioms(E, budget, seed)
     elapsed = time.perf_counter() - t0
@@ -98,7 +105,7 @@ def run_axioms(spec: str, budget: int, seed: int) -> List[ReportRecord]:
 
 def run_sets(spec: str, budget: int, seed: int,
              input_path: Optional[str]) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     recs: List[ReportRecord] = []
     if "IntervalUnion" in E.exact_sets:
         recs += _records_from_map(
@@ -124,14 +131,14 @@ def run_sets(spec: str, budget: int, seed: int,
 
 
 def run_radial(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     return [_timed("radial", E.name, "radial",
                    lambda: setlaws.check_radial(E, budget, seed))]
 
 
 def run_bounded(spec: str, budget: int, seed: int,
                 input_path: Optional[str]) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     recs: List[ReportRecord] = []
     if "IntervalUnion" in E.exact_sets:
         recs += _records_from_map(
@@ -152,7 +159,7 @@ def run_bounded(spec: str, budget: int, seed: int,
 
 def run_localbase(spec: str, budget: int, seed: int,
                   input_path: Optional[str]) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     if "IntervalUnion" not in E.exact_sets:
         raise click.UsageError(
             "the local-base suite runs on interval-exact instances")
@@ -198,7 +205,7 @@ def run_morphism(name: str, budget: int, seed: int) -> List[ReportRecord]:
 
 
 def run_all(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = make_instance(spec)
+    E = _instance(spec)
     recs = run_axioms(spec, budget, seed)
     recs.append(_timed(
         "structure.primitive-scaling", E.name, "axioms",
@@ -258,7 +265,8 @@ def _emit(records: List[ReportRecord], fmt: str, findings_ok: bool) -> int:
 
 
 def _common(fn):
-    fn = click.option("--budget", type=int, default=200, show_default=True,
+    fn = click.option("--budget", type=click.IntRange(min=1), default=200,
+                      show_default=True,
                       help="Total sampling budget per check.")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="Root seed (default: EVS_LAB_SEED or "

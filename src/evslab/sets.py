@@ -9,6 +9,7 @@ sampling on predicate sets.
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import scalars as sc
@@ -100,23 +101,27 @@ class IntervalUnion:
         return " U ".join(c.render() for c in self.components)
 
 
+EMPTY_IU = IntervalUnion(())
+
+
 def interval_union(intervals: Sequence[Interval]) -> IntervalUnion:
-    """Canonicalize: sort, drop empties, merge overlapping/adjacent."""
+    """Canonicalize: drop empties, sort, merge overlapping/adjacent."""
     pieces = [c for c in intervals if not c.is_empty()]
-    for c in pieces:
-        if c.lo < 0:
-            raise ValueError(f"negative endpoint {rat_str(c.lo)}")
-    pieces.sort(key=lambda c: (c.lo, not c.lo_closed))
-    merged = []
-    for c in pieces:
-        if merged:
-            p = merged[-1]
-            touches = p.hi is INF or c.lo < p.hi or (
-                c.lo == p.hi and (p.hi_closed or c.lo_closed))
-            if touches:
-                merged[-1] = Interval(p.lo, p.lo_closed, *_max_hi(p, c))
-                continue
-        merged.append(c)
+    if not pieces:
+        return EMPTY_IU
+    # two stable sorts: by lo, closed left ends first among equal lo
+    pieces.sort(key=attrgetter("lo_closed"), reverse=True)
+    pieces.sort(key=attrgetter("lo"))
+    if pieces[0].lo < 0:
+        raise ValueError(f"negative endpoint {rat_str(pieces[0].lo)}")
+    merged = [pieces[0]]
+    for c in pieces[1:]:
+        p = merged[-1]
+        if p.hi is INF or c.lo < p.hi or (
+                c.lo == p.hi and (p.hi_closed or c.lo_closed)):
+            merged[-1] = Interval(p.lo, p.lo_closed, *_max_hi(p, c))
+        else:
+            merged.append(c)
     return IntervalUnion(tuple(merged))
 
 
@@ -136,26 +141,40 @@ def iu(*pieces) -> IntervalUnion:
                            for p in pieces])
 
 
-EMPTY_IU = IntervalUnion(())
-
-
 def iu_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """Exact a & b of canonical unions by one sorted merge.
+
+    Each piece lies in one component of ``a`` and one of ``b``, and two
+    pieces are always separated by a gap of ``a`` or of ``b``, so the
+    pieces come out sorted, disjoint and non-mergeable: canonical."""
+    ac, bc = a.components, b.components
     out = []
-    for c in a.components:
-        for d in b.components:
-            lo, lc = max((c.lo, not c.lo_closed), (d.lo, not d.lo_closed))
-            lc = not lc
-            if c.hi is INF:
-                hi, hc = d.hi, d.hi_closed
-            elif d.hi is INF:
-                hi, hc = c.hi, c.hi_closed
-            else:
-                hi, hc = min((c.hi, c.hi_closed), (d.hi, d.hi_closed),
-                             key=lambda t: (t[0], t[1]))
-            piece = Interval(lo, lc, hi, hc)
-            if not piece.is_empty():
-                out.append(piece)
-    return interval_union(out)
+    i = j = 0
+    while i < len(ac) and j < len(bc):
+        c, d = ac[i], bc[j]
+        if c.lo > d.lo:
+            lo, lc = c.lo, c.lo_closed
+        elif d.lo > c.lo:
+            lo, lc = d.lo, d.lo_closed
+        else:
+            lo, lc = c.lo, c.lo_closed and d.lo_closed
+        # the component that ends first is done
+        if c.hi is INF or (d.hi is not INF and d.hi < c.hi):
+            hi, hc = d.hi, d.hi_closed
+            j += 1
+        elif d.hi is INF or c.hi < d.hi:
+            hi, hc = c.hi, c.hi_closed
+            i += 1
+        else:
+            # same end point: both next components lie beyond it, so
+            # neither can meet the other's current one
+            hi, hc = c.hi, c.hi_closed and d.hi_closed
+            i += 1
+            j += 1
+        piece = Interval(lo, lc, hi, hc)
+        if not piece.is_empty():
+            out.append(piece)
+    return IntervalUnion(tuple(out))
 
 
 def iu_union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -163,7 +182,24 @@ def iu_union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 
 
 def iu_subset(a: IntervalUnion, b: IntervalUnion) -> bool:
-    return iu_intersect(a, b) == a
+    """a <= b for canonical unions, in one pass over both.
+
+    ``b``'s components are its connected components, so each component
+    of ``a`` must lie in the first component of ``b`` that does not end
+    before it."""
+    bc = b.components
+    j = 0
+    for c in a.components:
+        while j < len(bc) and not _edge_leq(c.hi, c.hi_closed,
+                                            bc[j].hi, bc[j].hi_closed):
+            j += 1
+        if j == len(bc):
+            return False
+        d = bc[j]
+        if c.lo < d.lo or (c.lo == d.lo and c.lo_closed
+                           and not d.lo_closed):
+            return False
+    return True
 
 
 def iu_scale(t, a: IntervalUnion) -> IntervalUnion:

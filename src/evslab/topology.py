@@ -171,7 +171,9 @@ def _iu_bounded(A: IntervalUnion, seed: int) -> CheckOutcome:
     s, attained = A.sup()
     if s is not INF:
         bound = s + 1
-        assert st.iu_subset(A, iu((0, bound)))
+        if not st.iu_subset(
+                A, IntervalUnion((Interval(ZERO, True, bound, False),))):
+            raise AssertionError("set escaped [0, sup + 1)")
         return proven(f"contained in [0,{rat_str(bound)}) = "
                       f"{rat_str(bound)}.[0,1)", seed=seed)
     last = A.components[-1]

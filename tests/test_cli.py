@@ -124,3 +124,15 @@ def test_morphism_unknown_name(runner):
 def test_localbase_rejects_unsupported_instance(runner):
     res = runner.invoke(main, ["localbase", "lattice2"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["all", "halfline", "--budget", "0"],
+    ["all", "nosuch"],
+    ["all", "cone:abc"],
+])
+def test_bad_input_is_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert not isinstance(res.exception, ValueError)

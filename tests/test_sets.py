@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from evslab import scalars as sc
 from evslab import sets as S
@@ -62,6 +63,47 @@ def test_intersect_union_subset():
     assert iu_union(a, b) == iu((0, 3), (5, 6))
     assert iu_subset(iu((1, 2)), a)
     assert not iu_subset(b, a)
+
+
+@hst.composite
+def _unions(draw):
+    """Canonical unions: seeded ``random_interval_union`` draws, and
+    piece lists with small integer endpoints so that ties and touching
+    ends are frequent."""
+    if draw(hst.booleans()):
+        return random_interval_union(
+            random.Random(draw(hst.integers(0, 2**32))))
+    pieces = draw(hst.lists(hst.tuples(
+        hst.integers(0, 6), hst.integers(0, 3), hst.booleans(),
+        hst.booleans(), hst.integers(0, 9)), max_size=5))
+    return interval_union([
+        Interval(rat(lo), lc, INF, False) if tail == 0 else
+        Interval(rat(lo), lc, rat(lo + w), hc)
+        for lo, w, lc, hc, tail in pieces])
+
+
+def _grid(a, b):
+    """Every endpoint, every midpoint between consecutive endpoints and
+    one point beyond the last: membership in a and b is constant between
+    these points, so the grid decides the set algebra exactly."""
+    ends = sorted({rat(0)} | {e for u in (a, b) for c in u.components
+                              for e in (c.lo, c.hi) if e is not INF})
+    mids = [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    return ends + mids + [ends[-1] + 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unions(), _unions())
+def test_kernel_matches_pointwise_membership(a, b):
+    meet, join = iu_intersect(a, b), iu_union(a, b)
+    grid = _grid(a, b)
+    for x in grid:
+        assert meet.member(x) == (a.member(x) and b.member(x))
+        assert join.member(x) == (a.member(x) or b.member(x))
+    for out in (meet, join):
+        assert interval_union(list(out.components)) == out
+    assert iu_subset(a, b) == all(b.member(x) for x in grid if a.member(x))
+    assert iu_subset(a, a) and iu_subset(b, b)
 
 
 def test_scale_translate_minkowski():

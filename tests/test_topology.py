@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from evslab import sets as st
 from evslab import topology as tp
 from evslab._backend import Rat, rat
 from evslab.instances import MORPHISMS, half_line
+from evslab.setexpr import parse_set_expression
 from evslab.sets import INF, iu
 from evslab.topology import (BOUNDED_LAW_IDS, LOCAL_BASE_CONDITION_IDS,
                              audit_generator, balanced_absorbing_interval_form,
@@ -111,6 +116,30 @@ def test_bounded_predicate_falsifier():
     B = st.PredicateSet(lambda r: r < Rat(1, 2), lambda s, n: [],
                         "small")
     assert not is_bounded_set(B, H, 50, 42).refuted
+
+
+def test_bounded_verdict_survives_optimize_flag():
+    # the bound self-check must not be an assert, which -O strips
+    sets = ["[0,5] U [7,9)", "[1,inf)", "(0,1/3)"]
+    code = (
+        "import sys\n"
+        "from evslab import setexpr, topology\n"
+        "print(sys.flags.optimize)\n"
+        "for s in sys.argv[1:]:\n"
+        "    out = topology.is_bounded_set(\n"
+        "        setexpr.parse_set_expression(s, 'halfline'))\n"
+        "    print(out.verdict, out.detail)\n")
+    src = str(Path(tp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", code, *sets],
+                         env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    expected = ["1"]
+    for s in sets:
+        out = is_bounded_set(parse_set_expression(s, "halfline"))
+        expected.append(f"{out.verdict} {out.detail}")
+    assert res.stdout.splitlines() == expected
 
 
 def test_definition_grid_agrees():
