@@ -367,13 +367,15 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
                            "x<=y but f(x) !<= f(y)")
     # preimage conditions on sampled pools
     pool = E_X.sample(subseed(seed, "pool"), 2 * n)
-    images = [(x, f(x)) for x in pool]
-    for i, (_, p) in enumerate(images):
-        for j, (_, q) in enumerate(images):
+    images = [f(x) for x in pool]
+    # the sampled preimage of each pool point's image, built once
+    pre = [[x for x, fx in zip(pool, images) if E_Y.eq(fx, p)]
+           for p in images]
+    for i, p in enumerate(images):
+        for j, q in enumerate(images):
             if i == j or not E_Y.leq(p, q):
                 continue
-            pre_p = [x for x, fx in images if E_Y.eq(fx, p)]
-            pre_q = [x for x, fx in images if E_Y.eq(fx, q)]
+            pre_p, pre_q = pre[i], pre[j]
             for x in pre_p:
                 tried += 1
                 if not any(E_X.leq(x, y) for y in pre_q):

@@ -385,14 +385,17 @@ def make_instance(spec: str) -> EvsDescriptor:
     if spec == "lattice2":
         return subspace_lattice()
     if spec.startswith("cone:"):
-        return cone_product(int(spec.split(":", 1)[1]))
+        return cone_product(_dimension(spec))
     if spec.startswith("twisted:"):
-        return twisted_product(int(spec.split(":", 1)[1]))
+        return twisted_product(_dimension(spec))
     if spec.startswith("product:"):
         inner = spec.split(":", 1)[1].strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ValueError(f"bad product spec {spec!r}")
-        parts = _split_product(inner[1:-1])
+        parts = []
+        if inner.startswith("(") and inner.endswith(")"):
+            parts = _split_product(inner[1:-1])
+        if not parts:
+            raise ValueError(f"bad instance spec {spec!r}: expected "
+                             "product:(<spec>,<spec>,...)")
         return product_evs([make_instance(p) for p in parts])
     if spec in PLANTED_FAULTS:
         return PLANTED_FAULTS[spec]()
@@ -413,6 +416,17 @@ def _split_product(body: str):
         cur += ch
     if cur.strip():
         parts.append(cur)
-    if not parts:
-        raise ValueError("empty product spec")
     return [p.strip() for p in parts]
+
+
+def _dimension(spec: str) -> int:
+    """The n of a ``cone:<n>`` or ``twisted:<n>`` spec."""
+    kind, _, body = spec.partition(":")
+    try:
+        n = int(body)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"bad instance spec {spec!r}: expected {kind}:<n> "
+                         "with an integer n >= 1")
+    return n

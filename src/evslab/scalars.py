@@ -5,11 +5,14 @@ as a number; every ``|.|`` comparison is decided through the squared
 modulus, which is always rational.  Scalars whose modulus happens to be
 rational ("Pythagorean" scalars, e.g. (3+4i)/5) are the only ones
 admitted by instances whose action multiplies a radial coordinate by
-the modulus.
+the modulus.  Each ``Scalar`` computes that exact modulus (or finds it
+irrational) once and caches it, because the checkers reuse one sampled
+scalar pool across their nested loops.
 """
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._backend import ONE, ZERO, Rat, rat, rat_parse, rat_sqrt, rat_str
 
@@ -31,10 +34,13 @@ class Scalar:
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # skip the products whose factor is a zero imaginary part
+        if not b:
+            return Scalar(a * c, a * d if d else ZERO)
+        if not d:
+            return Scalar(a * c, b * c)
+        return Scalar(a * c - b * d, a * d + b * c)
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
@@ -44,6 +50,11 @@ class Scalar:
 
     def is_real(self) -> bool:
         return self.im == 0
+
+    @cached_property
+    def exact_modulus(self):
+        """|self| as a rational, or None if it is irrational; computed once."""
+        return rat_sqrt(modulus_squared(self))
 
 
 def scalar(re, im=0) -> Scalar:
@@ -76,14 +87,14 @@ def modulus_lt(lam: Scalar, c) -> bool:
 
 def modulus(lam: Scalar):
     """Exact |lam| as a rational; raises for non-Pythagorean scalars."""
-    m = rat_sqrt(modulus_squared(lam))
+    m = lam.exact_modulus
     if m is None:
         raise ValueError(f"scalar {render_scalar(lam)} has irrational modulus")
     return m
 
 
 def is_pythagorean(lam: Scalar) -> bool:
-    return rat_sqrt(modulus_squared(lam)) is not None
+    return lam.exact_modulus is not None
 
 
 def render_scalar(lam: Scalar) -> str:

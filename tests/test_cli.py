@@ -136,3 +136,17 @@ def test_bad_input_is_a_usage_error(runner, args):
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert not isinstance(res.exception, ValueError)
+
+
+@pytest.mark.parametrize("spec,form", [
+    ("cone:abc", "cone:<n>"),
+    ("cone:0", "cone:<n>"),
+    ("twisted:x", "twisted:<n>"),
+    ("product:()", "product:(<spec>,<spec>,...)"),
+    ("product:halfline", "product:(<spec>,<spec>,...)"),
+])
+def test_bad_spec_message_names_the_spec(runner, spec, form):
+    res = runner.invoke(main, ["all", spec])
+    assert res.exit_code == 2
+    assert f"bad instance spec '{spec}'" in res.output
+    assert form in res.output

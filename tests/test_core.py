@@ -92,6 +92,38 @@ def test_order_morphisms(name, ok):
     assert outcome.refuted != ok
 
 
+# pinned at budget 300, seed 42: how the checker finds preimages may change,
+# what it counts and reports may not
+@pytest.mark.parametrize("name,verdict,tried,witness", [
+    ("doubling", "Unfalsified", 4542, {}),
+    ("embed", "Unfalsified", 4542, {}),
+    ("shift", "Refuted", 1, {"x": "0", "y": "0"}),
+    ("square", "Refuted", 20, {"x": "1", "y": "1"}),
+])
+def test_order_morphism_golden(name, verdict, tried, witness):
+    phi = MORPHISMS[name]()
+    outcome = check_order_morphism(phi.forward, phi.domain, phi.codomain,
+                                   300, 42)
+    assert outcome.verdict == verdict
+    assert outcome.samples_tried == tried
+    rendered = {k: v for k, v in (outcome.witness or {}).items()
+                if not k.startswith("_")}
+    assert rendered == witness
+
+
+def test_order_morphism_golden_preimage_refutation():
+    # (r, a) -> r is additive, homogeneous and monotone; only the
+    # preimage pass refutes it, since cone elements compare only with a fixed
+    outcome = check_order_morphism(lambda x: x[0], cone_product(2),
+                                   half_line(), 300, 42)
+    assert outcome.verdict == "Refuted"
+    assert outcome.samples_tried == 667
+    assert outcome.detail.startswith("x in f^-1(p)")
+    assert {k: v for k, v in outcome.witness.items()
+            if not k.startswith("_")} == {
+        "p": "0", "q": "5/4", "x": "(0, (0, 0))"}
+
+
 def test_subevs_zero_vector_slice_of_cone():
     C = cone_product(1)
     member = lambda x: all(v == sc.S_ZERO for v in x[1])

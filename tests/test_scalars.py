@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import example, given, strategies as hst
 
 from evslab import scalars as sc
-from evslab._backend import Rat, rat
+from evslab._backend import Rat, rat, rat_sqrt
 
 rationals = hst.fractions(max_denominator=50).map(
     lambda f: Rat(f.numerator, f.denominator))
@@ -82,3 +82,39 @@ def test_scalar_tuples_closed_under_field_ops():
         assert sc.is_pythagorean(a) and sc.is_pythagorean(b)
         assert sc.is_pythagorean(a + b)
         assert sc.is_pythagorean(a * b)
+
+
+# Gaussian rationals whose real and imaginary parts are often exactly zero,
+# plus rational multiples of Pythagorean units (rational modulus)
+parts = hst.one_of(hst.just(Rat(0)), rationals)
+gaussians = hst.one_of(
+    hst.builds(sc.Scalar, parts, parts),
+    hst.builds(sc.scale_unit, hst.sampled_from(sc.PYTHAGOREAN_UNITS), parts),
+)
+
+
+@given(gaussians, gaussians)
+def test_product_matches_four_product_formula(x, y):
+    a, b, c, d = x.re, x.im, y.re, y.im
+    textbook = sc.Scalar(a * c - b * d, a * d + b * c)
+    p = x * y
+    assert p == textbook
+    assert sc.render_scalar(p) == sc.render_scalar(textbook)
+
+
+@given(gaussians)
+@example(sc.Scalar(rat(1), rat(2)))  # |1+2i| = sqrt(5)
+def test_cached_modulus_is_exact_and_invisible(x):
+    fresh = sc.Scalar(x.re, x.im)
+    eq, h, r = x == fresh, hash(x), repr(x)
+    expected = rat_sqrt(sc.modulus_squared(x))
+    for _ in range(2):
+        if expected is None:
+            assert not sc.is_pythagorean(x)
+            with pytest.raises(ValueError, match="irrational modulus"):
+                sc.modulus(x)
+        else:
+            assert sc.is_pythagorean(x)
+            assert sc.modulus(x) == expected
+    assert (x == fresh, hash(x), repr(x)) == (eq, h, r)
+    assert hash(x) == hash(fresh)
