@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import click
@@ -167,7 +167,10 @@ def run_localbase(spec: str, budget: int, seed: int,
         family = list(_load_sets(input_path, E.element_kind))
     else:
         family = list(topology.usual_base(8))
-    verdicts = topology.check_local_base_conditions(family, budget, seed)
+    try:
+        verdicts = topology.check_local_base_conditions(family, budget, seed)
+    except ValueError as exc:  # a family member without theta, or none
+        raise click.UsageError(str(exc))
     return _records_from_map("localbase", E.name, "localbase", verdicts)
 
 

@@ -9,11 +9,10 @@ as exactly verified.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import scalars as sc
-from ._backend import Rat, rat
 from .outcome import (CheckOutcome, per_variable_budget, proven, refuted,
                       subseed, unfalsified)
 

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from . import scalars as sc
 from ._backend import ONE, ZERO, Rat, rat, rat_str
 from .core import AXIOM_IDS, EvsDescriptor
-from .outcome import subseed
 
 
 def _rand_nonneg_rat(rng: random.Random, height: int = 6):

@@ -6,7 +6,7 @@ Refuted (with a witness that re-evaluates to a violation) or Unfalsified
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 PROVEN = "Proven"

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._backend import ONE, ZERO, Rat, rat, rat_parse, rat_sqrt, rat_str
+from ._backend import ZERO, Rat, rat, rat_parse, rat_sqrt, rat_str
 
 ANY_SCALAR = "AnyScalar"
 PYTHAGOREAN_ONLY = "PythagoreanOnly"

@@ -9,7 +9,6 @@ sets parse back to equal values.
 """
 
 import re
-from typing import Optional
 
 from . import sets as st
 from ._backend import rat_parse
@@ -183,4 +182,4 @@ def parse_set_expression(text: str, kind: str = "halfline"):
 
 def render_set_expression(A) -> str:
     """Canonical textual form; parses back to an equal value."""
-    return st.render_set(A)
+    return A.render()

@@ -1,20 +1,22 @@
 """Closure laws for absorbing/balanced sets, radial separation, and
 transport of set verdicts along order-isomorphisms.
 
-The closure drivers generate random exact sets, filter them through the
-exact deciders, apply each construction and re-decide.  The radial
-checker replays the separating constructions of the source material
-exactly on the half line, the dictionary plane and the cone, and refutes
-radiality on the subspace lattice from the exact absorbing
-characterisation.
+Every corpus law, here and in ``topology``, is one ``check_law`` call: a
+lazy stream of cases and a predicate that must hold on each.  The closure
+drivers generate random exact sets, filter them through the exact
+deciders, apply each construction and re-decide.  The radial checker
+replays the separating constructions of the source material exactly on
+the half line, the dictionary plane and the cone, and refutes radiality
+on the subspace lattice from the exact absorbing characterisation.
 """
 
 import random
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import scalars as sc
 from . import sets as st
-from ._backend import ONE, ZERO, Rat, rat, rat_str
+from ._backend import ZERO, Rat, rat
 from .core import EvsDescriptor
 from .instances import OrderIso
 from .outcome import (CheckOutcome, proven, refuted, subseed, unfalsified)
@@ -24,9 +26,35 @@ ABSORBING_LAW_IDS = ("absorbing.i", "absorbing.ii", "absorbing.iii",
 BALANCED_LAW_IDS = ("balanced.i", "balanced.ii", "balanced.iii",
                     "balanced.iv", "balanced.v")
 
+_CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
+
 # partner-set cap for the pairwise laws: keeps the drivers linear in the
 # corpus size while every generated set still appears on the outer side
 _PAIR_CAP = 40
+
+
+def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
+              keys: Sequence[str], detail: str, seed: int,
+              proven_detail: str) -> CheckOutcome:
+    """Refuted at the first case where ``holds(*case)`` is false, with
+    the case's leading entries rendered under ``keys``; Proven when it
+    holds on every case.  ``samples_tried`` counts the cases evaluated.
+
+    ``holds`` looks its deciders up when the law runs, so a rebound
+    module global (a tracer, a test double) is seen; a set the law
+    constructs is built once, as an entry of its case.
+    """
+    tried = 0
+    for case in cases:
+        tried += 1
+        if not holds(*case):
+            return refuted({k: _render(v) for k, v in zip(keys, case)},
+                           tried, seed, detail)
+    return proven(proven_detail, tried, seed)
+
+
+def _render(v) -> str:
+    return sc.render_scalar(v) if isinstance(v, sc.Scalar) else v.render()
 
 
 def _require_interval_support(E: EvsDescriptor):
@@ -58,80 +86,40 @@ def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
     anything = _random_corpus(n, subseed(seed, "abs:any"), lambda A: True)
     partners = absorbing[:_PAIR_CAP]
     extras = anything[:_PAIR_CAP]
-    out = {}
-    tried = 0
-
-    # (i) theta membership
-    bad = next((A for A in absorbing if not A.contains_zero()), None)
-    out["absorbing.i"] = _law_outcome(bad, len(absorbing), seed,
-                                "absorbing set without theta",
-                                lambda A: {"set": A.render()})
-
-    # (ii) finite intersections
-    bad = None
-    for A in absorbing:
-        for B in partners:
-            tried += 1
-            C = st.iu_intersect(A, B)
-            if C.is_empty() or not st.is_absorbing(C).proven:
-                bad = (A, B, C)
-                break
-        if bad:
-            break
-    out["absorbing.ii"] = _law_outcome(
-        bad, tried, seed, "intersection of absorbing sets not absorbing",
-        lambda w: {"A": w[0].render(), "B": w[1].render(),
-                   "A&B": w[2].render()})
-
-    # (iii) supersets / unions
-    bad = None
-    for A in absorbing:
-        for B in extras:
-            C = st.iu_union(A, B)
-            if not st.is_absorbing(C).proven:
-                bad = (A, B, C)
-                break
-        if bad:
-            break
-    out["absorbing.iii"] = _law_outcome(
-        bad, len(absorbing) * len(extras), seed,
-        "superset of an absorbing set not absorbing",
-        lambda w: {"A": w[0].render(), "B": w[1].render(),
-                   "AuB": w[2].render()})
-
-    # (iv) up/down stability
-    bad = None
-    for A in absorbing:
-        for img in (st.iu_up(A), st.iu_down(A)):
-            if not st.is_absorbing(img).proven:
-                bad = (A, img)
-                break
-        if bad:
-            break
-    out["absorbing.iv"] = _law_outcome(
-        bad, 2 * len(absorbing), seed,
-        "up/down image of an absorbing set not absorbing",
-        lambda w: {"A": w[0].render(), "image": w[1].render()})
-
-    # (v) nonzero scaling
     lams = [l for l in sc.sample_scalars(rat(3), 8, subseed(seed, "abs:lam"),
                                          sc.PYTHAGOREAN_ONLY)
             if not l.is_zero()]
-    bad = None
-    for A in absorbing:
-        for lam in lams:
-            C = st.scale_set(lam, A)
-            if not st.is_absorbing(C).proven:
-                bad = (A, lam, C)
-                break
-        if bad:
-            break
-    out["absorbing.v"] = _law_outcome(
-        bad, len(absorbing) * len(lams), seed,
-        "nonzero scaling of an absorbing set not absorbing",
-        lambda w: {"A": w[0].render(), "lambda": sc.render_scalar(w[1]),
-                   "lamA": w[2].render()})
-    return out
+    law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
+    return {
+        # (i) theta membership
+        "absorbing.i": law(
+            ((A,) for A in absorbing), lambda A: A.contains_zero(),
+            ("set",), "absorbing set without theta"),
+        # (ii) finite intersections
+        "absorbing.ii": law(
+            ((A, B, st.iu_intersect(A, B))
+             for A in absorbing for B in partners),
+            lambda A, B, C: not C.is_empty() and st.is_absorbing(C).proven,
+            ("A", "B", "A&B"), "intersection of absorbing sets not absorbing"),
+        # (iii) supersets / unions
+        "absorbing.iii": law(
+            ((A, B, st.iu_union(A, B)) for A in absorbing for B in extras),
+            lambda A, B, C: st.is_absorbing(C).proven,
+            ("A", "B", "AuB"), "superset of an absorbing set not absorbing"),
+        # (iv) up/down stability
+        "absorbing.iv": law(
+            ((A, img) for A in absorbing
+             for img in (st.iu_up(A), st.iu_down(A))),
+            lambda A, img: st.is_absorbing(img).proven,
+            ("A", "image"), "up/down image of an absorbing set not absorbing"),
+        # (v) nonzero scaling
+        "absorbing.v": law(
+            ((A, lam, st.scale_set(lam, A))
+             for A in absorbing for lam in lams),
+            lambda A, lam, C: st.is_absorbing(C).proven,
+            ("A", "lambda", "lamA"),
+            "nonzero scaling of an absorbing set not absorbing"),
+    }
 
 
 def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
@@ -142,80 +130,32 @@ def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
     balanced = _random_corpus(n, subseed(seed, "bal:gen"),
                               lambda A: st.is_balanced(A).proven)
     partners = balanced[:_PAIR_CAP]
-    out = {}
-
-    bad = next((A for A in balanced if not A.contains_zero()), None)
-    out["balanced.i"] = _law_outcome(bad, len(balanced), seed,
-                                "balanced set without theta",
-                                lambda A: {"set": A.render()})
-
-    bad = None
-    for A in balanced:
-        for B in partners:
-            C = st.iu_intersect(A, B)
-            if not C.is_empty() and not st.is_balanced(C).proven:
-                bad = (A, B, C)
-                break
-        if bad:
-            break
-    out["balanced.ii"] = _law_outcome(
-        bad, len(balanced) * len(partners), seed,
-        "intersection of balanced sets not balanced",
-        lambda w: {"A": w[0].render(), "B": w[1].render(),
-                   "A&B": w[2].render()})
-
-    bad = None
-    for A in balanced:
-        for B in partners:
-            C = st.iu_union(A, B)
-            if not st.is_balanced(C).proven:
-                bad = (A, B, C)
-                break
-        if bad:
-            break
-    out["balanced.iii"] = _law_outcome(
-        bad, len(balanced) * len(partners), seed,
-        "union of balanced sets not balanced",
-        lambda w: {"A": w[0].render(), "B": w[1].render(),
-                   "AuB": w[2].render()})
-
-    bad = None
-    for A in balanced:
-        for img in (st.iu_up(A), st.iu_down(A)):
-            if not st.is_balanced(img).proven:
-                bad = (A, img)
-                break
-        if bad:
-            break
-    out["balanced.iv"] = _law_outcome(
-        bad, 2 * len(balanced), seed,
-        "up/down image of a balanced set not balanced",
-        lambda w: {"A": w[0].render(), "image": w[1].render()})
-
     lams = sc.sample_scalars(rat(4), 8, subseed(seed, "bal:lam"),
                              sc.PYTHAGOREAN_ONLY)
-    bad = None
-    for A in balanced:
-        for lam in lams:
-            C = st.scale_set(lam, A)
-            if C.is_empty() or not st.is_balanced(C).proven:
-                bad = (A, lam, C)
-                break
-        if bad:
-            break
-    out["balanced.v"] = _law_outcome(
-        bad, len(balanced) * len(lams), seed,
-        "scaling of a balanced set not balanced",
-        lambda w: {"A": w[0].render(), "lambda": sc.render_scalar(w[1]),
-                   "lamA": w[2].render()})
-    return out
-
-
-def _law_outcome(bad, tried, seed, detail, witness_of) -> CheckOutcome:
-    if bad is not None:
-        return refuted(witness_of(bad), tried, seed, detail)
-    return proven("exact deciders re-verified every constructed set",
-                  tried, seed)
+    law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
+    return {
+        "balanced.i": law(
+            ((A,) for A in balanced), lambda A: A.contains_zero(),
+            ("set",), "balanced set without theta"),
+        "balanced.ii": law(
+            ((A, B, st.iu_intersect(A, B))
+             for A in balanced for B in partners),
+            lambda A, B, C: C.is_empty() or st.is_balanced(C).proven,
+            ("A", "B", "A&B"), "intersection of balanced sets not balanced"),
+        "balanced.iii": law(
+            ((A, B, st.iu_union(A, B)) for A in balanced for B in partners),
+            lambda A, B, C: st.is_balanced(C).proven,
+            ("A", "B", "AuB"), "union of balanced sets not balanced"),
+        "balanced.iv": law(
+            ((A, img) for A in balanced
+             for img in (st.iu_up(A), st.iu_down(A))),
+            lambda A, img: st.is_balanced(img).proven,
+            ("A", "image"), "up/down image of a balanced set not balanced"),
+        "balanced.v": law(
+            ((A, lam, st.scale_set(lam, A)) for A in balanced for lam in lams),
+            lambda A, lam, C: not C.is_empty() and st.is_balanced(C).proven,
+            ("A", "lambda", "lamA"), "scaling of a balanced set not balanced"),
+    }
 
 
 # ------------------------------------------------------------------ radial
@@ -302,11 +242,11 @@ def check_radial(E: EvsDescriptor, budget: int, seed: int) -> CheckOutcome:
         inx, iny = st.set_member(A, x), st.set_member(A, y)
         if inx == iny:
             return refuted({"x": E.render(x), "y": E.render(y),
-                            "set": st.render_set(A), "_raw": (x, y, A)},
+                            "set": A.render(), "_raw": (x, y, A)},
                            tried, seed, "separator failed to separate")
         if not st.is_absorbing(A, E).proven:
             return refuted({"x": E.render(x), "y": E.render(y),
-                            "set": st.render_set(A), "_raw": (x, y, A)},
+                            "set": A.render(), "_raw": (x, y, A)},
                            tried, seed, "separator is not absorbing")
     if all_proven and tried:
         return proven(f"exact separators for all {tried} sampled pairs",
@@ -358,7 +298,7 @@ def check_radial_product_and_hereditary(
                     tried, seed, "cylinder failed to separate")
             if not st.is_absorbing(cyl.factors[i], parts[i]).proven:
                 return refuted(
-                    {"factor": i, "set": st.render_set(cyl.factors[i]),
+                    {"factor": i, "set": cyl.factors[i].render(),
                      "_raw": (cyl,)},
                     tried, seed, "cylinder factor is not absorbing")
     # hereditary part
@@ -374,14 +314,14 @@ def check_radial_product_and_hereditary(
             if inx == iny:
                 return refuted(
                     {"x": E.render(x), "y": E.render(y),
-                     "set": st.render_set(AY), "_raw": (x, y, AY)},
+                     "set": AY.render(), "_raw": (x, y, AY)},
                     tried, seed, "trace on the subevs failed to separate")
             # absorbing within Y: mu-orbits of sampled members stay in AY
             for z in pool[: max(4, budget // 16)]:
                 alpha = _absorb_bound(AY, E, z)
                 if alpha is None:
                     return refuted(
-                        {"z": E.render(z), "set": st.render_set(AY),
+                        {"z": E.render(z), "set": AY.render(),
                          "_raw": (z, AY)},
                         tried, seed, "no absorbing bound found within Y")
     if tried == 0:
@@ -437,7 +377,7 @@ def check_absorbing_transport(phi: OrderIso, budget: int,
         else:
             after = st.is_absorbing(image).verdict
         if before != after:
-            return refuted({"A": A.render(), "image": st.render_set(image),
+            return refuted({"A": A.render(), "image": image.render(),
                             "before": before, "after": after,
                             "_raw": (A, image)},
                            tried, seed, "absorbing verdict not preserved")

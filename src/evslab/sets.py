@@ -10,11 +10,11 @@ sampling on predicate sets.
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from . import scalars as sc
 from ._backend import ONE, ZERO, Rat, rat, rat_str
-from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line, subspace_leq
+from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
 from .outcome import CheckOutcome, proven, refuted, subseed, unfalsified
 
 INF = None  # right endpoint marker for unbounded intervals
@@ -626,7 +626,7 @@ class ProductCylinder:
                    for f, xi in zip(self.factors, x))
 
     def render(self) -> str:
-        return " x ".join("ALL" if f is None else render_set(f)
+        return " x ".join("ALL" if f is None else f.render()
                           for f in self.factors)
 
 
@@ -636,10 +636,6 @@ def set_member(A, x) -> bool:
                       ProductCylinder)):
         return A.member(x)
     raise TypeError(f"not a set representation: {A!r}")
-
-
-def render_set(A) -> str:
-    return A.render()
 
 
 def set_with_point(A, x):

@@ -11,13 +11,17 @@ of the construction.
 """
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from . import scalars as sc
 from . import sets as st
 from ._backend import ONE, ZERO, Rat, rat, rat_str
 from .outcome import (CheckOutcome, proven, refuted, subseed, unfalsified)
 from .sets import INF, Interval, IntervalUnion, interval_union, iu
+from .setlaws import check_law, transport_set
+
+_CORPUS_PROVEN = "exact re-decision succeeded on the whole corpus"
 
 
 # --------------------------------------------------------------- open sets
@@ -280,84 +284,41 @@ def check_bounded_laws(E, budget: int, seed: int) -> dict:
     rng = random.Random(subseed(seed, "bnd:gen"))
     corpus = [st.random_interval_union(rng) for _ in range(n)]
     bounded = [A for A in corpus if is_bounded_set(A).proven]
-    out = {}
-
-    bad = next((A for A in corpus
-                if definition_bounded_grid(A) != is_bounded_set(A).proven),
-               None)
-    out["bounded.defs-agree"] = _outcome(
-        bad, len(corpus), seed,
-        "definition grid and sup characterization disagree",
-        lambda A: {"set": A.render()})
-
     finite_sets = []
     for _ in range(n):
         pts = [abs(Rat(rng.randint(0, 40), rng.randint(1, 8)))
                for _ in range(rng.randint(1, 5))]
         finite_sets.append(iu(*[(p, p, True, True) for p in pts]))
-    bad = next((A for A in finite_sets if not is_bounded_set(A).proven), None)
-    out["bounded.finite"] = _outcome(
-        bad, len(finite_sets), seed, "finite set not bounded",
-        lambda A: {"set": A.render()})
-
     compacts = [_make_compact(A) for A in corpus]
-    bad = next((A for A in compacts
-                if is_compact(A) and not is_bounded_set(A).proven), None)
-    out["bounded.compact"] = _outcome(
-        bad, len(compacts), seed, "compact set not bounded",
-        lambda A: {"set": A.render()})
-
-    bad = None
-    pair_count = 0
-    for A in bounded:
-        for B in bounded:
-            pair_count += 1
-            if not is_bounded_set(st.iu_minkowski(A, B)).proven:
-                bad = (A, B)
-                break
-        if bad:
-            break
-    out["bounded.sum"] = _outcome(
-        bad, pair_count, seed, "sum of bounded sets not bounded",
-        lambda w: {"A": w[0].render(), "B": w[1].render()})
-
     lams = sc.sample_scalars(rat(5), 8, subseed(seed, "bnd:lam"),
                              sc.PYTHAGOREAN_ONLY)
-    bad = None
-    for A in bounded:
-        for lam in lams:
-            C = st.scale_set(lam, A)
-            if not C.is_empty() and not is_bounded_set(C).proven:
-                bad = (A, lam)
-                break
-        if bad:
-            break
-    out["bounded.scale"] = _outcome(
-        bad, len(bounded) * len(lams), seed,
-        "scaling of a bounded set not bounded",
-        lambda w: {"A": w[0].render(), "lambda": sc.render_scalar(w[1])})
-
-    bad = None
-    for A in bounded:
-        for B in corpus:
-            C = st.iu_intersect(A, B)
-            if not C.is_empty() and not is_bounded_set(C).proven:
-                bad = (A, B)
-                break
-        if bad:
-            break
-    out["bounded.subset"] = _outcome(
-        bad, len(bounded) * len(corpus), seed,
-        "subset of a bounded set not bounded",
-        lambda w: {"A": w[0].render(), "B": w[1].render()})
-    return out
-
-
-def _outcome(bad, tried, seed, detail, witness_of) -> CheckOutcome:
-    if bad is not None:
-        return refuted(witness_of(bad), tried, seed, detail)
-    return proven("exact re-decision succeeded on the whole corpus",
-                  tried, seed)
+    law = partial(check_law, seed=seed, proven_detail=_CORPUS_PROVEN)
+    return {
+        "bounded.defs-agree": law(
+            ((A,) for A in corpus),
+            lambda A: definition_bounded_grid(A) == is_bounded_set(A).proven,
+            ("set",), "definition grid and sup characterization disagree"),
+        "bounded.finite": law(
+            ((A,) for A in finite_sets),
+            lambda A: is_bounded_set(A).proven,
+            ("set",), "finite set not bounded"),
+        "bounded.compact": law(
+            ((A,) for A in compacts),
+            lambda A: not is_compact(A) or is_bounded_set(A).proven,
+            ("set",), "compact set not bounded"),
+        "bounded.sum": law(
+            ((A, B, st.iu_minkowski(A, B)) for A in bounded for B in bounded),
+            lambda A, B, C: is_bounded_set(C).proven,
+            ("A", "B"), "sum of bounded sets not bounded"),
+        "bounded.scale": law(
+            ((A, lam, st.scale_set(lam, A)) for A in bounded for lam in lams),
+            lambda A, lam, C: C.is_empty() or is_bounded_set(C).proven,
+            ("A", "lambda"), "scaling of a bounded set not bounded"),
+        "bounded.subset": law(
+            ((A, B, st.iu_intersect(A, B)) for A in bounded for B in corpus),
+            lambda A, B, C: C.is_empty() or is_bounded_set(C).proven,
+            ("A", "B"), "subset of a bounded set not bounded"),
+    }
 
 
 def is_compact(A: IntervalUnion) -> bool:
@@ -392,58 +353,51 @@ def _validate_family(family: Sequence[IntervalUnion]):
                 f"family member {U.render()} does not contain theta")
 
 
+def _halves(U: IntervalUnion) -> bool:
+    """True when ``halving_nbhd`` builds a verified W with W + W in U."""
+    try:
+        halving_nbhd(U)
+    except (AssertionError, ValueError):
+        return False
+    return True
+
+
 def check_local_base_conditions(family: Sequence[IntervalUnion],
                                 budget: int, seed: int) -> dict:
     """The five local-base conditions for a candidate family at theta."""
     _validate_family(family)
     family = tuple(family)
-    out = {}
-
-    # (i) every member balanced and absorbing — exact deciders
-    bad = next((U for U in family
-                if not (st.is_balanced(U).proven
-                        and st.is_absorbing(U).proven)), None)
-    out["i"] = _outcome(bad, len(family), seed,
-                        "member not balanced and absorbing",
-                        lambda U: {"U": U.render()})
-
-    # (ii) some member inside each pairwise intersection — exact search
-    bad = None
-    for U in family:
-        for V in family:
-            inter = st.iu_intersect(U, V)
-            if not any(st.iu_subset(W, inter) for W in family):
-                bad = (U, V)
-                break
-        if bad:
-            break
-    out["ii"] = _outcome(bad, len(family) ** 2, seed,
-                         "no member inside the intersection",
-                         lambda w: {"U": w[0].render(), "V": w[1].render()})
-
-    # (iii) halving: for each U a verified W with W + W inside U.  A
-    # family member is preferred; otherwise the halved 0-component is
-    # constructed and checked exactly (a finite truncation of a nested
-    # family has no member at the smallest scales).
-    bad = None
-    for U in family:
-        if any(st.iu_subset(st.iu_minkowski(W, W), U) for W in family):
-            continue
-        try:
-            halving_nbhd(U)
-        except (AssertionError, ValueError):
-            bad = U
-            break
-    out["iii"] = _outcome(bad, len(family), seed,
-                          "no W with W + W inside U",
-                          lambda U: {"U": U.render()})
+    law = partial(check_law, seed=seed, proven_detail=_CORPUS_PROVEN)
+    out = {
+        # (i) every member balanced and absorbing — exact deciders
+        "i": law(
+            ((U,) for U in family),
+            lambda U: st.is_balanced(U).proven and st.is_absorbing(U).proven,
+            ("U",), "member not balanced and absorbing"),
+        # (ii) some member inside each pairwise intersection — exact search
+        "ii": law(
+            ((U, V, st.iu_intersect(U, V)) for U in family for V in family),
+            lambda U, V, I: any(st.iu_subset(W, I) for W in family),
+            ("U", "V"), "no member inside the intersection"),
+        # (iii) halving: for each U a verified W with W + W inside U.  A
+        # family member is preferred; otherwise the halved 0-component is
+        # constructed and checked exactly (a finite truncation of a nested
+        # family has no member at the smallest scales).
+        "iii": law(
+            ((U,) for U in family),
+            lambda U: any(st.iu_subset(st.iu_minkowski(W, W), U)
+                          for W in family) or _halves(U),
+            ("U",), "no W with W + W inside U"),
+    }
 
     # (iv) order separation within the family over sampled pairs x > y.
     # Pairs are drawn on a grid whose step is the width of the narrowest
     # member, the family's separating resolution: pairs closer than that
-    # cannot be split by translates of any member.
+    # cannot be split by translates of any member.  A {0} member has
+    # width 0, which would make every grid pair coincide, so only
+    # positive widths count.
     widths = [U.components[0].hi for U in family
-              if U.components[0].hi is not INF]
+              if U.components[0].hi is not INF and U.components[0].hi > 0]
     step = min(widths, default=ONE)
     rng = random.Random(subseed(seed, "lb:iv"))
     pairs = []
@@ -525,8 +479,6 @@ def check_family_transport(phi, family: Sequence[IntervalUnion],
                            budget: int, seed: int) -> CheckOutcome:
     """Local-base condition verdicts are identical for the transported
     family."""
-    from .setlaws import transport_set
-
     _validate_family(family)
     image = [transport_set(phi, U) for U in family]
     if not all(isinstance(U, IntervalUnion) for U in image):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from evslab import cli as cli_module
 from evslab.cli import main
 
 
@@ -150,3 +155,53 @@ def test_bad_spec_message_names_the_spec(runner, spec, form):
     assert res.exit_code == 2
     assert f"bad instance spec '{spec}'" in res.output
     assert form in res.output
+
+
+GOLDEN_ALL = Path(__file__).resolve().parent / "golden" / "all-b200-s7.jsonl"
+SHIPPED_SPECS = ("halfline", "cone:2", "twisted:2", "dict2", "lattice2",
+                 "product:(halfline,dict2)")
+
+
+def test_all_matches_golden_records(runner):
+    # `all <spec> --budget 200 --seed 7` on the six shipped instances,
+    # record for record and byte for byte once `elapsed` is dropped
+    lines = []
+    for spec in SHIPPED_SPECS:
+        res = runner.invoke(main, ["all", spec, "--budget", "200", "--seed",
+                                   "7", "--format", "jsonlines",
+                                   "--findings-ok"])
+        assert res.exit_code == 0, res.output
+        lines += [json.dumps(r, sort_keys=True)
+                  for r in _strip_elapsed(res.output)]
+    assert lines == GOLDEN_ALL.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("family", ["[0,0]\n", "[0,1)\n[0,0] U (1,2)\n"])
+def test_localbase_family_with_a_zero_width_member(tmp_path, family):
+    # a {0} member has width 0; the (iv) pair grid must still make progress
+    f = tmp_path / "family.txt"
+    f.write_text(family)
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "evslab.cli", "localbase", "halfline",
+         "--input", str(f), "--budget", "50", "--findings-ok",
+         "--format", "jsonlines"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    verdicts = {r["checkId"]: r["verdict"] for r in _strip_elapsed(res.stdout)}
+    assert verdicts["localbase.i"] == "Refuted"
+
+
+@pytest.mark.parametrize("family,message", [
+    ("(1,2)\n", "does not contain theta"),
+    ("", "family must be non-empty"),
+])
+def test_localbase_bad_family_is_a_usage_error(runner, tmp_path, family,
+                                               message):
+    f = tmp_path / "family.txt"
+    f.write_text(family)
+    res = runner.invoke(main, ["localbase", "halfline", "--input", str(f)])
+    assert res.exit_code == 2
+    assert message in res.output
+    assert not isinstance(res.exception, ValueError)

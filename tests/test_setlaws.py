@@ -4,9 +4,11 @@ import pytest
 
 from evslab import scalars as sc
 from evslab import sets as st
+from evslab import topology
 from evslab._backend import Rat, rat
 from evslab.instances import MORPHISMS, cone_product, dict_plane, half_line, \
     make_instance, subspace_lattice
+from evslab.outcome import refuted
 from evslab.setlaws import (ABSORBING_LAW_IDS, BALANCED_LAW_IDS,
                             check_absorbing_closure_laws,
                             check_absorbing_transport,
@@ -160,3 +162,55 @@ def test_transport_requires_inverse():
     phi = MORPHISMS["shift"]()
     with pytest.raises(ValueError):
         transport_set(phi, st.iu((0, 1)))
+
+
+# ------------------------------------------------------ the Refuted path
+
+def _refute_many_components(real):
+    """The exact decider, except that sets of three or more components
+    are refuted."""
+    def decider(A, *args, **kwargs):
+        if len(A.components) > 2:
+            return refuted({"set": A.render()}, detail="planted")
+        return real(A, *args, **kwargs)
+    return decider
+
+
+def test_refuted_laws_report_witness_and_position(monkeypatch):
+    real_balanced = st.is_balanced
+
+    def refute_unbounded(A, *args, **kwargs):
+        if A.sup()[0] is st.INF:
+            return refuted({"set": A.render()}, detail="planted")
+        return real_balanced(A, *args, **kwargs)
+
+    monkeypatch.setattr(st, "is_absorbing",
+                        _refute_many_components(st.is_absorbing))
+    monkeypatch.setattr(st, "is_balanced", refute_unbounded)
+    monkeypatch.setattr(topology, "is_bounded_set",
+                        _refute_many_components(topology.is_bounded_set))
+    H = half_line()
+    outcomes = {**check_absorbing_closure_laws(H, 200, 7),
+                **check_balanced_closure_laws(H, 200, 7),
+                **topology.check_bounded_laws(H, 200, 7)}
+    # witness and detail as the hand-written law loops reported them;
+    # samples_tried is the 1-based position of the witness case
+    expected = {
+        "absorbing.ii": (67, "intersection of absorbing sets not absorbing",
+                         {"A": "[0,2] U [6,12)", "B": "[0,1/3] U [5/8,inf)",
+                          "A&B": "[0,1/3] U [5/8,2] U [6,12)"}),
+        "absorbing.iii": (58, "superset of an absorbing set not absorbing",
+                          {"A": "[0,5/3)",
+                           "B": "(0,7/5) U (2,13/6] U [4,34/7]",
+                           "AuB": "[0,5/3) U (2,13/6] U [4,34/7]"}),
+        "balanced.iv": (1, "up/down image of a balanced set not balanced",
+                        {"A": "[0,2)", "image": "[0,inf)"}),
+        "bounded.subset": (10, "subset of a bounded set not bounded",
+                           {"A": "[0,5/7) U (5/2,27/10]",
+                            "B": "[0,1/7) U (1/3,13/3)"}),
+    }
+    for law_id, (position, detail, witness) in expected.items():
+        out = outcomes[law_id]
+        assert out.refuted, law_id
+        assert (out.samples_tried, out.detail, out.witness, out.seed) == \
+            (position, detail, witness, 7), law_id
