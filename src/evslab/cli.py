@@ -146,7 +146,13 @@ def run_bounded(spec: str, budget: int, seed: int,
             topology.check_bounded_laws(E, budget, seed))
         for r in recs:
             r.check_id = r.check_id.lstrip(".")
-    for i, A in enumerate(_load_sets(input_path, E.element_kind)):
+    inputs = _load_sets(input_path, E.element_kind)
+    for A in inputs:
+        if not hasattr(A, "bounded"):
+            raise click.UsageError(
+                f"no boundedness decider for {type(A).__name__} sets "
+                f"on {E.name}")
+    for i, A in enumerate(inputs):
         recs.append(_timed(
             f"bounded.input{i}", E.name, "bounded",
             lambda A=A: topology.is_bounded_set(

@@ -63,84 +63,63 @@ def half_line() -> EvsDescriptor:
     )
 
 
-# ------------------------------------------------------------- cone product
+# ------------------------------------------------ cone and twisted products
+
+def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
+                    exact_sets: tuple) -> EvsDescriptor:
+    """[0,oo) x K^n under ``scale``, ordered on r with a fixed."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    zero_vec = tuple(sc.S_ZERO for _ in range(n))
+
+    def sample(seed, count):
+        rng = random.Random(seed)
+        out = [(ZERO, zero_vec)]
+        while len(out) < count:
+            vec = tuple(_rand_scalar(rng, 3) for _ in range(n))
+            out.append((_rand_nonneg_rat(rng), vec))
+        return out[:count]
+
+    return EvsDescriptor(
+        name=f"{kind}:{n}",
+        element_kind=kind,
+        zero=(ZERO, zero_vec),
+        add=lambda x, y: (x[0] + y[0],
+                          tuple(a + b for a, b in zip(x[1], y[1]))),
+        scale=scale,
+        leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
+        is_primitive=lambda x: x[0] == 0,
+        primitive_witness=lambda x: (ZERO, x[1]),
+        sample=sample,
+        scalar_mode=scalar_mode,
+        exact_sets=exact_sets,
+        render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
+        primitive_set=lambda x: [(ZERO, x[1])],
+        upward=lambda x, rng: (x[0] + _rand_nonneg_rat(rng), x[1]),
+    )
+
+
+def _cone_scale(lam, x):
+    r, a = x
+    return (sc.modulus(lam) * r, tuple(lam * v for v in a))
+
 
 def cone_product(n: int) -> EvsDescriptor:
     """[0,oo) x K^n with action (|lam|.r, lam.a), order on r with a fixed."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    zero_vec = tuple(sc.S_ZERO for _ in range(n))
-
-    def scale(lam, x):
-        r, a = x
-        return (sc.modulus(lam) * r, tuple(lam * v for v in a))
-
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [(ZERO, zero_vec)]
-        while len(out) < count:
-            vec = tuple(_rand_scalar(rng, 3) for _ in range(n))
-            out.append((_rand_nonneg_rat(rng), vec))
-        return out[:count]
-
-    return EvsDescriptor(
-        name=f"cone:{n}",
-        element_kind="cone",
-        zero=(ZERO, zero_vec),
-        add=lambda x, y: (x[0] + y[0],
-                          tuple(a + b for a, b in zip(x[1], y[1]))),
-        scale=scale,
-        leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
-        is_primitive=lambda x: x[0] == 0,
-        primitive_witness=lambda x: (ZERO, x[1]),
-        sample=sample,
-        scalar_mode=sc.PYTHAGOREAN_ONLY,
-        exact_sets=("ProductSlice",),
-        render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
-        primitive_set=lambda x: [(ZERO, x[1])],
-        upward=lambda x, rng: (x[0] + _rand_nonneg_rat(rng), x[1]),
-    )
+    return _vector_product(n, "cone", _cone_scale, sc.PYTHAGOREAN_ONLY,
+                           ("ProductSlice",))
 
 
-# ---------------------------------------------------------- twisted product
+def _twisted_scale(lam, x):
+    r, a = x
+    if lam.is_zero():
+        return (ZERO, tuple(sc.S_ZERO for _ in a))
+    return (r, tuple(lam * v for v in a))
+
 
 def twisted_product(n: int) -> EvsDescriptor:
     """[0,oo) x K^n with action (r, lam.a) for lam != 0 and 0.x = theta."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    zero_vec = tuple(sc.S_ZERO for _ in range(n))
-
-    def scale(lam, x):
-        if lam.is_zero():
-            return (ZERO, zero_vec)
-        r, a = x
-        return (r, tuple(lam * v for v in a))
-
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [(ZERO, zero_vec)]
-        while len(out) < count:
-            vec = tuple(_rand_scalar(rng, 3) for _ in range(n))
-            out.append((_rand_nonneg_rat(rng), vec))
-        return out[:count]
-
-    return EvsDescriptor(
-        name=f"twisted:{n}",
-        element_kind="twisted",
-        zero=(ZERO, zero_vec),
-        add=lambda x, y: (x[0] + y[0],
-                          tuple(a + b for a, b in zip(x[1], y[1]))),
-        scale=scale,
-        leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
-        is_primitive=lambda x: x[0] == 0,
-        primitive_witness=lambda x: (ZERO, x[1]),
-        sample=sample,
-        scalar_mode=sc.ANY_SCALAR,
-        exact_sets=(),
-        render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
-        primitive_set=lambda x: [(ZERO, x[1])],
-        upward=lambda x, rng: (x[0] + _rand_nonneg_rat(rng), x[1]),
-    )
+    return _vector_product(n, "twisted", _twisted_scale, sc.ANY_SCALAR, ())
 
 
 # ------------------------------------------------------- dictionary plane
@@ -328,22 +307,38 @@ class OrderIso:
     codomain: EvsDescriptor
     forward: Callable
     inverse: Optional[Callable] = None
+    # exact image of a set of the domain's carrier, or None
+    transport: Optional[Callable] = None
+    # a transported set as a set of the domain's carrier, for a map onto
+    # a proper subevs of the codomain, where verdicts are read in the image
+    image_view: Callable = lambda B: B
 
 
 def doubling_map() -> OrderIso:
+    from . import sets as st
+
     H = half_line()
     return OrderIso("doubling", H, half_line(),
-                    forward=lambda r: 2 * r, inverse=lambda r: r / 2)
+                    forward=lambda r: 2 * r, inverse=lambda r: r / 2,
+                    transport=lambda A: st.iu_scale(rat(2), A))
 
 
 def halfline_to_cone() -> OrderIso:
     """Embedding r -> (r, 0) of the half line onto the cone's zero-vector
     subevs (an order-isomorphism onto its image)."""
+    from . import sets as st
+
     H = half_line()
     C = cone_product(1)
-    return OrderIso("embed", H, C,
-                    forward=lambda r: (r, (sc.S_ZERO,)),
-                    inverse=lambda x: x[0])
+    return OrderIso(
+        "embed", H, C,
+        forward=lambda r: (r, (sc.S_ZERO,)),
+        inverse=lambda x: x[0],
+        transport=lambda A: st.product_slice(
+            *[(st.IntervalUnion((c,)), st.finite_vectors((sc.S_ZERO,)))
+              for c in A.components]),
+        image_view=lambda B: st.interval_union(
+            [c for iupart, _ in B.pieces for c in iupart.components]))
 
 
 def shift_map() -> OrderIso:

@@ -51,6 +51,9 @@ class Scalar:
     def is_real(self) -> bool:
         return self.im == 0
 
+    def render(self) -> str:
+        return render_scalar(self)
+
     @cached_property
     def exact_modulus(self):
         """|self| as a rational, or None if it is irrational; computed once."""

@@ -48,13 +48,9 @@ def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
     for case in cases:
         tried += 1
         if not holds(*case):
-            return refuted({k: _render(v) for k, v in zip(keys, case)},
+            return refuted({k: v.render() for k, v in zip(keys, case)},
                            tried, seed, detail)
     return proven(proven_detail, tried, seed)
-
-
-def _render(v) -> str:
-    return sc.render_scalar(v) if isinstance(v, sc.Scalar) else v.render()
 
 
 def _require_interval_support(E: EvsDescriptor):
@@ -346,19 +342,18 @@ def transport_set(phi: OrderIso, A):
     order-isomorphism."""
     if phi.inverse is None:
         raise ValueError(f"morphism {phi.name} lacks an inverse")
-    if phi.name == "doubling" and isinstance(A, st.IntervalUnion):
-        return st.iu_scale(rat(2), A)
-    if phi.name == "embed" and isinstance(A, st.IntervalUnion):
-        return st.product_slice(
-            *[(st.IntervalUnion((c,)), st.finite_vectors((sc.S_ZERO,)))
-              for c in A.components])
-    raise ValueError(
-        f"no exact transport for {phi.name} on {type(A).__name__}")
+    if phi.transport is None or \
+            type(A).__name__ not in phi.domain.exact_sets:
+        raise ValueError(
+            f"no exact transport for {phi.name} on {type(A).__name__}")
+    return phi.transport(A)
 
 
 def check_absorbing_transport(phi: OrderIso, budget: int,
                               seed: int) -> CheckOutcome:
-    """A absorbing iff phi(A) absorbing, on random interval unions."""
+    """A absorbing iff phi(A) absorbing, on random interval unions.  A
+    map onto a proper subevs decides phi(A) within that subevs, through
+    its ``image_view``."""
     rng = random.Random(subseed(seed, "transport"))
     tried = 0
     for _ in range(max(4, budget)):
@@ -366,16 +361,7 @@ def check_absorbing_transport(phi: OrderIso, budget: int,
         A = st.random_interval_union(rng)
         before = st.is_absorbing(A).verdict
         image = transport_set(phi, A)
-        if phi.name == "embed":
-            # absorbency within the zero-vector subevs <-> on the half line
-            back = st.iu(*[(c.lo, c.hi, c.lo_closed, c.hi_closed)
-                           if c.hi is not st.INF else
-                           (c.lo, st.INF, c.lo_closed, False)
-                           for piece in image.pieces
-                           for c in piece[0].components])
-            after = st.is_absorbing(back).verdict
-        else:
-            after = st.is_absorbing(image).verdict
+        after = st.is_absorbing(phi.image_view(image)).verdict
         if before != after:
             return refuted({"A": A.render(), "image": image.render(),
                             "before": before, "after": after,

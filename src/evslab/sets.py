@@ -2,9 +2,19 @@
 
 Four exact carriers (interval unions on the half line, anchored box
 unions on the dictionary plane, finite/cofinite subspace families,
-product slices on the cone) plus opaque predicate sets.  Balanced and
+product slices on the cone) plus opaque predicate sets and product
+cylinders.  Every carrier has ``member`` and ``render``; where it has
+one, it also owns its exact image ``scale(lam)``, its one-point
+superset ``with_point(x)`` and the deciders ``balanced``, ``absorbing``
+and ``bounded``, each called as ``(E, budget, seed)``.  Balanced and
 absorbing are decided exactly on the exact carriers and falsified by
-sampling on predicate sets.
+sampling on predicate sets.  Only interval unions carry a set algebra
+(intersection, union, Minkowski sum, translation, up/down images).
+
+The module functions ``set_member``, ``set_with_point``, ``scale_set``,
+``is_balanced`` and ``is_absorbing`` (and ``topology.is_bounded_set``)
+look the operation up on the carrier and raise TypeError where it has
+none; the law drivers call these functions, never the methods.
 """
 
 import random
@@ -99,6 +109,78 @@ class IntervalUnion:
         if not self.components:
             return "{}"
         return " U ".join(c.render() for c in self.components)
+
+    def scale(self, lam: sc.Scalar) -> "IntervalUnion":
+        return iu_scale(sc.modulus(lam), self)
+
+    def with_point(self, x) -> "IntervalUnion":
+        return iu_union(self, iu((x, x, True, True)))
+
+    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        comps = self.components
+        if len(comps) == 1 and comps[0].lo == 0 and comps[0].lo_closed:
+            return proven("single interval anchored at 0 (star-shaped)")
+        # a scaling that lands in a gap (or at 0 when 0 is missing)
+        if not self.contains_zero():
+            x = comps[0].rep_point()
+            return refuted({"x": rat_str(x), "alpha": "0",
+                            "escape": "0", "_raw": (x, ZERO)},
+                           detail="0.x = theta is outside A")
+        # 0 in A, so more than one component: scale a later point into
+        # the gap
+        gap = _first_gap(self)
+        x = comps[1].rep_point()
+        t = gap / x
+        return refuted({"x": rat_str(x), "alpha": rat_str(t),
+                        "escape": rat_str(gap), "_raw": (x, t)},
+                       detail="scaling by |alpha|<1 leaves A")
+
+    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+        if not self.is_empty() and self.contains_zero():
+            c0 = self.components[0]
+            if c0.hi is INF or c0.hi > 0:
+                return proven(
+                    f"contains the nondegenerate 0-component {c0.render()}")
+            # 0-component is the degenerate {0}
+            g = self.components[1].lo if len(self.components) > 1 else ONE
+            return refuted({"x": "1", "escape_below": rat_str(g),
+                            "_raw": (ONE, g)},
+                           detail="any mu in (0, escape_below) sends x=1 "
+                                  "outside A, so no alpha > 0 works")
+        x = ONE
+        return refuted({"x": "1", "alpha": "0", "_raw": (x, ZERO)},
+                       detail="theta = 0.x is outside A")
+
+    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        s, _ = self.sup()
+        if s is not INF:
+            bound = s + 1
+            if not iu_subset(
+                    self, IntervalUnion((Interval(ZERO, True, bound, False),))):
+                raise AssertionError("set escaped [0, sup + 1)")
+            return proven(f"contained in [0,{rat_str(bound)}) = "
+                          f"{rat_str(bound)}.[0,1)", seed=seed)
+        last = self.components[-1]
+        base = last.lo if last.lo_closed else last.lo + 1
+        return refuted(
+            {"x_n": f"{rat_str(base)} + n", "lambda_n": "1/n",
+             "limit": "lambda_n.x_n -> 1, never below 1/2",
+             "_raw_base": base},
+            seed=seed,
+            detail="unbounded tail: the sequence x_n = base + n with "
+                   "lambda_n = 1/n keeps lambda_n.x_n >= 1")
+
+
+def _first_gap(A: IntervalUnion):
+    """A rational point strictly between the first two components."""
+    c0, c1 = A.components[0], A.components[1]
+    if c0.hi == c1.lo:  # both open at the touching point
+        return c0.hi
+    return (c0.hi + c1.lo) / 2
 
 
 EMPTY_IU = IntervalUnion(())
@@ -319,6 +401,28 @@ class AnchoredBoxUnion:
             return "{}"
         return " U ".join(bx.render() for bx in self.boxes)
 
+    def scale(self, lam: sc.Scalar) -> "AnchoredBoxUnion":
+        return box_scale(sc.modulus(lam), self)
+
+    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        return proven("anchored box unions are closed under diagonal shrink")
+
+    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+        for b in self.boxes:
+            a_pos = b.a is INF or b.a > 0
+            b_pos = b.b is INF or b.b > 0
+            if a_pos and b_pos:
+                return proven(f"contains the origin box {b.render()}")
+        if self.is_empty():
+            return refuted({"x": "(1, 1)", "alpha": "0",
+                            "_raw": ((ONE, ONE),)},
+                           detail="theta is outside the empty union")
+        return refuted({"x": "(1, 1)", "_raw": ((ONE, ONE),)},
+                       detail="every box has a degenerate extent: mu.(1,1) "
+                              "= (|mu|,|mu|) escapes for every mu != 0")
+
 
 def box_union(boxes: Sequence[Box]) -> AnchoredBoxUnion:
     live = [Box(b.a, b.a_closed and b.a is not INF,
@@ -347,51 +451,6 @@ def box_scale(t, u: AnchoredBoxUnion) -> AnchoredBoxUnion:
         Box(INF if b.a is INF else b.a * t, b.a_closed,
             INF if b.b is INF else b.b * t, b.b_closed)
         for b in u.boxes])
-
-
-@dataclass(frozen=True)
-class DictRegion:
-    """General finite union of x-interval x y-interval pieces over the
-    dictionary plane; the carrier for up/down images of box unions."""
-
-    pieces: Tuple[Tuple[Interval, Interval], ...]
-
-    def member(self, p) -> bool:
-        return any(px.member(p[0]) and py.member(p[1])
-                   for px, py in self.pieces)
-
-    def render(self) -> str:
-        return " U ".join(f"{px.render()}x{py.render()}"
-                          for px, py in self.pieces) or "{}"
-
-
-WHOLE_PLANE = DictRegion(((Interval(ZERO, True, INF, False),
-                           Interval(ZERO, True, INF, False)),))
-
-
-def box_up(u: AnchoredBoxUnion) -> DictRegion:
-    """Dictionary-order up-set; any nonempty anchored box contains the
-    origin, so the up-set is the whole plane."""
-    if u.is_empty():
-        return DictRegion(())
-    return WHOLE_PLANE
-
-
-def box_down(u: AnchoredBoxUnion) -> DictRegion:
-    """Dictionary-order down-set: a slab per box, plus a fiber at the
-    attained x-edge."""
-    pieces = []
-    for b in u.boxes:
-        if b.a is INF:
-            pieces.append((Interval(ZERO, True, INF, False),
-                           Interval(ZERO, True, INF, False)))
-            continue
-        if b.a > 0:
-            pieces.append((Interval(ZERO, True, b.a, False),
-                           Interval(ZERO, True, INF, False)))
-        if b.a_closed:
-            pieces.append((Interval(b.a, True, b.a, True), b.y_iv()))
-    return DictRegion(tuple(pieces))
 
 
 # --------------------------------------------------------- lattice family
@@ -426,6 +485,27 @@ class LatticeFamily:
         if self.mode == FINITE:
             return "{" + inner + "}"
         return "ALL" if not names else "ALL\\{" + inner + "}"
+
+    def scale(self, lam: sc.Scalar) -> "LatticeFamily":
+        return lattice_scale(lam, self)
+
+    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        if self.member(ZERO_SUBSPACE):
+            return proven(
+                "alpha.Y = Y for alpha != 0 and 0.Y = zero is in A")
+        y = _some_member(self)
+        return refuted({"x": _render_subspace(y), "alpha": "0",
+                        "escape": "zero", "_raw": (y, ZERO)},
+                       detail="0.Y = zero subspace is outside A")
+
+    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_all():
+            return proven("the family is the whole lattice")
+        y = some_missing_subspace(self)
+        return refuted({"x": _render_subspace(y), "_raw": (y,)},
+                       detail="mu.Y = Y stays outside A for every mu != 0")
 
 
 def lattice_family(mode: str, members) -> LatticeFamily:
@@ -462,49 +542,23 @@ def lattice_scale(lam: sc.Scalar, fam: LatticeFamily) -> LatticeFamily:
     return fam
 
 
-def _all_lines_down(y):
-    if y == ZERO_SUBSPACE:
-        return {ZERO_SUBSPACE}
-    if y == FULL_SUBSPACE:
-        return None  # whole lattice
-    return {ZERO_SUBSPACE, y}
-
-
-def lattice_down(fam: LatticeFamily) -> LatticeFamily:
+def _some_member(fam: LatticeFamily):
     if fam.mode == FINITE:
-        out = set()
-        for y in fam.members:
-            d = _all_lines_down(y)
-            if d is None:
-                return ALL_SUBSPACES
-            out |= d
-        return lattice_family(FINITE, out)
-    # cofinite: infinitely many lines are members
-    if fam.member(FULL_SUBSPACE):
-        return ALL_SUBSPACES
-    # full excluded: down-set keeps every member line, zero, drops nothing
-    # else; complement = {full} plus excluded lines
-    comp = {FULL_SUBSPACE} | {y for y in fam.members
-                              if y not in (ZERO_SUBSPACE, FULL_SUBSPACE)}
-    return lattice_family(COFINITE, comp)
+        return sorted(fam.members, key=str)[0]
+    for y in (ZERO_SUBSPACE, FULL_SUBSPACE):
+        if fam.member(y):
+            return y
+    k = 0
+    while True:
+        cand = line(1, k)
+        if fam.member(cand):
+            return cand
+        k += 1
 
 
-def lattice_up(fam: LatticeFamily) -> LatticeFamily:
-    if fam.mode == FINITE:
-        out = set()
-        for y in fam.members:
-            if y == ZERO_SUBSPACE:
-                return ALL_SUBSPACES
-            if y == FULL_SUBSPACE:
-                out.add(FULL_SUBSPACE)
-            else:
-                out |= {y, FULL_SUBSPACE}
-        return lattice_family(FINITE, out)
-    if fam.member(ZERO_SUBSPACE):
-        return ALL_SUBSPACES
-    comp = {ZERO_SUBSPACE} | {y for y in fam.members
-                              if y not in (ZERO_SUBSPACE, FULL_SUBSPACE)}
-    return lattice_family(COFINITE, comp)
+def _render_subspace(y) -> str:
+    from .instances import subspace_lattice
+    return subspace_lattice().render(y)
 
 
 # ---------------------------------------------------------- product slice
@@ -564,36 +618,91 @@ class ProductSlice:
         return " U ".join(f"{iupart.render()}x{reg.render()}"
                           for iupart, reg in self.pieces) or "{}"
 
+    def with_point(self, x) -> "ProductSlice":
+        r, a = x
+        return ProductSlice(self.pieces + (
+            (iu((r, r, True, True)), finite_vectors(a)),))
+
+    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        ok = True
+        for iupart, reg in self.pieces:
+            if iupart.is_empty():
+                continue
+            comps = iupart.components
+            star = len(comps) == 1 and comps[0].lo == 0 and \
+                comps[0].lo_closed
+            if not (star and reg.kind == BALL):
+                ok = False
+        if ok:
+            return proven("every piece is [0,s)-style x ball")
+        # fall back to a scan for an explicit violation over piece endpoints
+        for iupart, reg in self.pieces:
+            if iupart.is_empty() or iupart.contains_zero():
+                continue
+            r = iupart.components[0].rep_point()
+            if reg.kind == FINITE_VECTORS and reg.vectors:
+                a = reg.vectors[0]
+                x = (r, a)
+                # alpha = 0 sends x to theta; theta may be missing
+                if not self.member((ZERO, tuple(sc.S_ZERO for _ in a))):
+                    return refuted({"x": f"({rat_str(r)}, ...)",
+                                    "alpha": "0", "_raw": (x, ZERO)},
+                                   detail="0.x = theta is outside A")
+        return unfalsified(len(self.pieces), 0,
+                           "no exact criterion; no violation found on "
+                           "endpoints")
+
+    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+        for iupart, reg in self.pieces:
+            if iupart.is_empty():
+                continue
+            c0 = iupart.components[0]
+            has_radial_nbhd = c0.lo == 0 and c0.lo_closed and (
+                c0.hi is INF or c0.hi > 0)
+            if has_radial_nbhd and reg.kind == BALL and reg.radius > 0:
+                return proven(
+                    f"contains [0,s) x ball(t) with s,t > 0: "
+                    f"{iupart.render()} x {reg.render()}")
+        if E is not None:
+            return PredicateSet(self.member, lambda s, c: E.sample(s, c),
+                                "slice").absorbing(E, budget, seed)
+        return unfalsified(0, seed, "no [0,s) x ball(t) piece found")
+
+    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
+        if self.is_empty():
+            raise ValueError("empty set")
+        sups = []
+        for iupart, reg in self.pieces:
+            if iupart.is_empty():
+                continue
+            s, _ = iupart.sup()
+            if s is INF:
+                last = iupart.components[-1]
+                base = last.lo if last.lo_closed else last.lo + 1
+                vec = reg.vectors[0] if reg.kind == FINITE_VECTORS else None
+                return refuted(
+                    {"x_n": f"({rat_str(base)} + n, v)", "lambda_n": "1/n",
+                     "_raw_base": base, "_raw_vec": vec},
+                    seed=seed,
+                    detail="unbounded radial part: lambda_n.x_n keeps "
+                           "radial coordinate >= 1")
+            sups.append(s)
+            if reg.kind == BALL:
+                sups.append(reg.radius)
+            else:
+                for v in reg.vectors:
+                    sups.append(max((sc.modulus_squared(c) for c in v),
+                                    default=ZERO) + 1)
+        bound = max(sups, default=ZERO) + 1
+        return proven(
+            f"contained in {rat_str(bound)}.([0,1) x ball(1)) up to radius "
+            f"rescaling", seed=seed)
+
 
 def product_slice(*pieces) -> ProductSlice:
     return ProductSlice(tuple(pieces))
-
-
-def slice_scale(lam: sc.Scalar, s: ProductSlice) -> ProductSlice:
-    m = sc.modulus(lam)
-    out = []
-    for iupart, reg in s.pieces:
-        new_iu = iu_scale(m, iupart)
-        if reg.kind == FINITE_VECTORS:
-            new_reg = finite_vectors(
-                *[tuple(lam * v for v in a) for a in reg.vectors])
-        else:
-            new_reg = ball(m * reg.radius)
-        out.append((new_iu, new_reg))
-    return ProductSlice(tuple(out))
-
-
-def slice_minkowski(a: ProductSlice, b: ProductSlice) -> ProductSlice:
-    out = []
-    for iu1, r1 in a.pieces:
-        for iu2, r2 in b.pieces:
-            if r1.kind != FINITE_VECTORS or r2.kind != FINITE_VECTORS:
-                raise ValueError(
-                    "Minkowski sum needs finite vector parts")
-            vecs = [tuple(u + v for u, v in zip(x, y))
-                    for x in r1.vectors for y in r2.vectors]
-            out.append((iu_minkowski(iu1, iu2), finite_vectors(*vecs)))
-    return ProductSlice(tuple(out))
 
 
 # ----------------------------------------------------------- predicate set
@@ -611,6 +720,82 @@ class PredicateSet:
 
     def render(self) -> str:
         return f"<{self.label}>"
+
+    def scale(self, lam: sc.Scalar):
+        raise TypeError("cannot compute exact images of predicate sets")
+
+    def with_point(self, x) -> "PredicateSet":
+        return PredicateSet(lambda z, _A=self, _x=x: _A.member(z) or z == _x,
+                            self.witness_sampler, self.label + "+pt")
+
+    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+        if E is None:
+            return unfalsified(0, seed, "no descriptor supplied for sampling")
+        xs = self.witness_sampler(subseed(seed, "bal:x"), budget)
+        mode = E.scalar_mode
+        alphas = sc.sample_scalars(ONE, max(4, budget // 8),
+                                   subseed(seed, "bal:a"), mode)
+        tried = 0
+        for x in xs:
+            if not self.member(x):
+                raise ValueError("witness sampler produced a non-member")
+            for a in alphas:
+                tried += 1
+                ax = E.scale(a, x)
+                if not self.member(ax):
+                    return refuted({"x": E.render(x),
+                                    "alpha": sc.render_scalar(a),
+                                    "_raw": (x, a)},
+                                   tried, seed, "alpha.x left A")
+        return unfalsified(tried, seed)
+
+    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+        """For each sampled x, search a mu-grid for an escape at every
+        alpha."""
+        if E is None:
+            return unfalsified(0, seed, "no descriptor supplied for sampling")
+        xs = E.sample(subseed(seed, "abs:x"), max(4, budget // 16))
+        alphas = [Rat(1, k) for k in (1, 2, 4, 8, 16, 64, 256)]
+        tried = 0
+        for x in xs:
+            for a in alphas:
+                escape_mu = None
+                for j in (1, 2, 3, 5, 8, 13):
+                    mu = sc.Scalar(a / j, ZERO)
+                    tried += 1
+                    if not self.member(E.scale(mu, x)):
+                        escape_mu = mu
+                        break
+                if escape_mu is None:
+                    break
+            if escape_mu is not None:
+                return refuted({"x": E.render(x),
+                                "mu": sc.render_scalar(escape_mu),
+                                "_raw": (x, escape_mu)},
+                               tried, seed,
+                               "escapes found at every tested alpha")
+        return unfalsified(tried, seed)
+
+    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
+        """Sequence falsifier over the half line: hunt members x_n >= n;
+        if they keep appearing, lambda_n = 1/n never sends them to
+        theta."""
+        escapes = 0
+        last = None
+        for n in range(1, max(2, budget) + 1):
+            cand = rat(n)
+            if self.member(cand):
+                escapes += 1
+                last = n
+        if escapes >= 3:
+            return refuted(
+                {"x_n": "n for every tested member index",
+                 "lambda_n": "1/n", "last_n": str(last)},
+                escapes, seed,
+                "lambda_n.x_n = 1 for every hit; the sequence never enters "
+                "[0,1/2)")
+        return unfalsified(max(2, budget), seed,
+                           "no escaping sequence found on the integer grid")
 
 
 # ------------------------------------------------------------- cylinders
@@ -630,310 +815,47 @@ class ProductCylinder:
                           for f in self.factors)
 
 
+# ------------------------------------------------------ carrier protocol
+
+CARRIERS = (IntervalUnion, AnchoredBoxUnion, LatticeFamily, ProductSlice,
+            PredicateSet, ProductCylinder)
+
+
+def carrier_operation(A, name: str,
+                      missing: str = "unsupported set kind {kind}"):
+    """A's operation ``name``, bound to A.  TypeError, with ``missing``
+    formatted over ``A`` and ``kind`` (A's type name), when A is not a
+    set carrier or its carrier has no such operation."""
+    op = getattr(A, name, None) if isinstance(A, CARRIERS) else None
+    if op is None:
+        raise TypeError(missing.format(A=A, kind=type(A).__name__))
+    return op
+
+
 def set_member(A, x) -> bool:
-    if isinstance(A, (IntervalUnion, AnchoredBoxUnion, DictRegion,
-                      LatticeFamily, ProductSlice, PredicateSet,
-                      ProductCylinder)):
-        return A.member(x)
-    raise TypeError(f"not a set representation: {A!r}")
+    return carrier_operation(A, "member", "not a set representation: {A!r}")(x)
 
 
 def set_with_point(A, x):
     """A with one extra point adjoined (superset construction)."""
-    if isinstance(A, IntervalUnion):
-        return iu_union(A, iu((x, x, True, True)))
-    if isinstance(A, ProductSlice):
-        r, a = x
-        return ProductSlice(A.pieces + (
-            (iu((r, r, True, True)), finite_vectors(a)),))
-    if isinstance(A, PredicateSet):
-        return PredicateSet(lambda z, _A=A, _x=x: _A.member(z) or z == _x,
-                            A.witness_sampler, A.label + "+pt")
-    raise TypeError(f"cannot adjoin a point to {type(A).__name__}")
+    return carrier_operation(A, "with_point",
+                             "cannot adjoin a point to {kind}")(x)
 
-
-# ------------------------------------------------------- generic dispatch
 
 def scale_set(lam: sc.Scalar, A):
     """Exact image of A under x -> lam.x on the owning instance."""
-    if isinstance(A, IntervalUnion):
-        return iu_scale(sc.modulus(lam), A)
-    if isinstance(A, AnchoredBoxUnion):
-        return box_scale(sc.modulus(lam), A)
-    if isinstance(A, LatticeFamily):
-        return lattice_scale(lam, A)
-    if isinstance(A, ProductSlice):
-        return slice_scale(lam, A)
-    if isinstance(A, PredicateSet):
-        raise TypeError("cannot compute exact images of predicate sets")
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
+    return carrier_operation(A, "scale")(lam)
 
-
-def minkowski_sum(A, B):
-    if isinstance(A, IntervalUnion) and isinstance(B, IntervalUnion):
-        return iu_minkowski(A, B)
-    if isinstance(A, ProductSlice) and isinstance(B, ProductSlice):
-        return slice_minkowski(A, B)
-    raise TypeError(
-        f"unsupported kind combination {type(A).__name__}+{type(B).__name__}")
-
-
-def up_set(A):
-    if isinstance(A, IntervalUnion):
-        return iu_up(A)
-    if isinstance(A, AnchoredBoxUnion):
-        return box_up(A)
-    if isinstance(A, LatticeFamily):
-        return lattice_up(A)
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
-
-
-def down_set(A):
-    if isinstance(A, IntervalUnion):
-        return iu_down(A)
-    if isinstance(A, AnchoredBoxUnion):
-        return box_down(A)
-    if isinstance(A, LatticeFamily):
-        return lattice_down(A)
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
-
-
-# ---------------------------------------------------------------- deciders
 
 def is_balanced(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
     """Exact balancedness where the representation allows, sampling
     falsification for predicate sets.  Rejects the empty set."""
-    if isinstance(A, IntervalUnion):
-        return _iu_balanced(A)
-    if isinstance(A, AnchoredBoxUnion):
-        if A.is_empty():
-            raise ValueError("empty set")
-        return proven("anchored box unions are closed under diagonal shrink")
-    if isinstance(A, LatticeFamily):
-        return _lattice_balanced(A)
-    if isinstance(A, ProductSlice):
-        return _slice_balanced(A)
-    if isinstance(A, PredicateSet):
-        return _sampled_balanced(A, E, budget, seed)
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
-
-
-def _iu_balanced(A: IntervalUnion) -> CheckOutcome:
-    if A.is_empty():
-        raise ValueError("empty set")
-    comps = A.components
-    if len(comps) == 1 and comps[0].lo == 0 and comps[0].lo_closed:
-        return proven("single interval anchored at 0 (star-shaped)")
-    # a scaling that lands in a gap (or at 0 when 0 is missing)
-    if not A.contains_zero():
-        x = comps[0].rep_point()
-        return refuted({"x": rat_str(x), "alpha": "0",
-                        "escape": "0", "_raw": (x, ZERO)},
-                       detail="0.x = theta is outside A")
-    # 0 in A, so more than one component: scale a later point into the gap
-    gap = _first_gap(A)
-    x = comps[1].rep_point()
-    t = gap / x
-    return refuted({"x": rat_str(x), "alpha": rat_str(t),
-                    "escape": rat_str(gap), "_raw": (x, t)},
-                   detail="scaling by |alpha|<1 leaves A")
-
-
-def _first_gap(A: IntervalUnion):
-    """A rational point strictly between the first two components."""
-    c0, c1 = A.components[0], A.components[1]
-    if c0.hi == c1.lo:  # both open at the touching point
-        return c0.hi
-    return (c0.hi + c1.lo) / 2
-
-
-def _lattice_balanced(fam: LatticeFamily) -> CheckOutcome:
-    if fam.is_empty():
-        raise ValueError("empty set")
-    if fam.member(ZERO_SUBSPACE):
-        return proven("alpha.Y = Y for alpha != 0 and 0.Y = zero is in A")
-    y = _some_member(fam)
-    return refuted({"x": _render_subspace(y), "alpha": "0",
-                    "escape": "zero", "_raw": (y, ZERO)},
-                   detail="0.Y = zero subspace is outside A")
-
-
-def _some_member(fam: LatticeFamily):
-    if fam.mode == FINITE:
-        return sorted(fam.members, key=str)[0]
-    for y in (ZERO_SUBSPACE, FULL_SUBSPACE):
-        if fam.member(y):
-            return y
-    k = 0
-    while True:
-        cand = line(1, k)
-        if fam.member(cand):
-            return cand
-        k += 1
-
-
-def _render_subspace(y) -> str:
-    from .instances import subspace_lattice
-    return subspace_lattice().render(y)
-
-
-def _slice_balanced(A: ProductSlice) -> CheckOutcome:
-    if A.is_empty():
-        raise ValueError("empty set")
-    ok = True
-    for iupart, reg in A.pieces:
-        if iupart.is_empty():
-            continue
-        comps = iupart.components
-        star = len(comps) == 1 and comps[0].lo == 0 and comps[0].lo_closed
-        if not (star and reg.kind == BALL):
-            ok = False
-    if ok:
-        return proven("every piece is [0,s)-style x ball")
-    # fall back to a scan for an explicit violation over piece endpoints
-    for iupart, reg in A.pieces:
-        if iupart.is_empty() or iupart.contains_zero():
-            continue
-        r = iupart.components[0].rep_point()
-        if reg.kind == FINITE_VECTORS and reg.vectors:
-            a = reg.vectors[0]
-            x = (r, a)
-            # alpha = 0 sends x to theta; theta may be missing
-            if not A.member(((ZERO), tuple(sc.S_ZERO for _ in a))):
-                return refuted({"x": f"({rat_str(r)}, ...)", "alpha": "0",
-                                "_raw": (x, ZERO)},
-                               detail="0.x = theta is outside A")
-    return unfalsified(len(A.pieces), 0,
-                       "no exact criterion; no violation found on endpoints")
-
-
-def _sampled_balanced(A: PredicateSet, E, budget: int,
-                      seed: int) -> CheckOutcome:
-    if E is None:
-        return unfalsified(0, seed, "no descriptor supplied for sampling")
-    xs = A.witness_sampler(subseed(seed, "bal:x"), budget)
-    mode = E.scalar_mode
-    alphas = sc.sample_scalars(ONE, max(4, budget // 8),
-                               subseed(seed, "bal:a"), mode)
-    tried = 0
-    for x in xs:
-        if not A.member(x):
-            raise ValueError("witness sampler produced a non-member")
-        for a in alphas:
-            tried += 1
-            ax = E.scale(a, x) if E is not None else None
-            if ax is not None and not A.member(ax):
-                return refuted({"x": E.render(x),
-                                "alpha": sc.render_scalar(a),
-                                "_raw": (x, a)},
-                               tried, seed, "alpha.x left A")
-    return unfalsified(tried, seed)
+    return carrier_operation(A, "balanced")(E, budget, seed)
 
 
 def is_absorbing(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
     """Exact absorbency on the exact carriers, sampling otherwise."""
-    if isinstance(A, IntervalUnion):
-        return _iu_absorbing(A)
-    if isinstance(A, AnchoredBoxUnion):
-        return _box_absorbing(A)
-    if isinstance(A, LatticeFamily):
-        return _lattice_absorbing(A)
-    if isinstance(A, ProductSlice):
-        return _slice_absorbing(A, E, budget, seed)
-    if isinstance(A, PredicateSet):
-        return _sampled_absorbing(A, E, budget, seed)
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
-
-
-def _iu_absorbing(A: IntervalUnion) -> CheckOutcome:
-    if not A.is_empty() and A.contains_zero():
-        c0 = A.components[0]
-        if c0.hi is INF or c0.hi > 0:
-            return proven(
-                f"contains the nondegenerate 0-component {c0.render()}")
-        # 0-component is the degenerate {0}
-        g = A.components[1].lo if len(A.components) > 1 else ONE
-        return refuted({"x": "1", "escape_below": rat_str(g),
-                        "_raw": (ONE, g)},
-                       detail="any mu in (0, escape_below) sends x=1 "
-                              "outside A, so no alpha > 0 works")
-    x = ONE
-    return refuted({"x": "1", "alpha": "0", "_raw": (x, ZERO)},
-                   detail="theta = 0.x is outside A")
-
-
-def _box_absorbing(A: AnchoredBoxUnion) -> CheckOutcome:
-    for b in A.boxes:
-        a_pos = b.a is INF or b.a > 0
-        b_pos = b.b is INF or b.b > 0
-        if a_pos and b_pos:
-            return proven(f"contains the origin box {b.render()}")
-    if A.is_empty():
-        return refuted({"x": "(1, 1)", "alpha": "0", "_raw": ((ONE, ONE),)},
-                       detail="theta is outside the empty union")
-    return refuted({"x": "(1, 1)", "_raw": ((ONE, ONE),)},
-                   detail="every box has a degenerate extent: mu.(1,1) = "
-                          "(|mu|,|mu|) escapes for every mu != 0")
-
-
-def _lattice_absorbing(fam: LatticeFamily) -> CheckOutcome:
-    if fam.is_all():
-        return proven("the family is the whole lattice")
-    y = some_missing_subspace(fam)
-    return refuted({"x": _render_subspace(y), "_raw": (y,)},
-                   detail="mu.Y = Y stays outside A for every mu != 0")
-
-
-def _slice_absorbing(A: ProductSlice, E, budget: int,
-                     seed: int) -> CheckOutcome:
-    for iupart, reg in A.pieces:
-        if iupart.is_empty():
-            continue
-        c0 = iupart.components[0]
-        has_radial_nbhd = c0.lo == 0 and c0.lo_closed and (
-            c0.hi is INF or c0.hi > 0)
-        if has_radial_nbhd and reg.kind == BALL and reg.radius > 0:
-            return proven(
-                f"contains [0,s) x ball(t) with s,t > 0: "
-                f"{iupart.render()} x {reg.render()}")
-    if E is not None:
-        return _sampled_absorbing(
-            PredicateSet(A.member, lambda s, c: E.sample(s, c),
-                         "slice"), E, budget, seed)
-    return unfalsified(0, seed, "no [0,s) x ball(t) piece found")
-
-
-def _sampled_absorbing(A: PredicateSet, E, budget: int,
-                       seed: int) -> CheckOutcome:
-    """For each sampled x, search a mu-grid for an escape at every alpha."""
-    if E is None:
-        return unfalsified(0, seed, "no descriptor supplied for sampling")
-    xs = E.sample(subseed(seed, "abs:x"), max(4, budget // 16))
-    alphas = [Rat(1, k) for k in (1, 2, 4, 8, 16, 64, 256)]
-    tried = 0
-    for x in xs:
-        escaped_all = True
-        escape_mu = None
-        for a in alphas:
-            found_escape = False
-            for j in (1, 2, 3, 5, 8, 13):
-                mu = sc.Scalar(a / j, ZERO)
-                tried += 1
-                pt = E.scale(mu, x) if E is not None else None
-                if pt is not None and not A.member(pt):
-                    found_escape = True
-                    escape_mu = mu
-                    break
-            if not found_escape:
-                escaped_all = False
-                break
-        if escaped_all and E is not None:
-            return refuted({"x": E.render(x),
-                            "mu": sc.render_scalar(escape_mu),
-                            "_raw": (x, escape_mu)},
-                           tried, seed,
-                           "escapes found at every tested alpha")
-    return unfalsified(tried, seed)
+    return carrier_operation(A, "absorbing")(E, budget, seed)
 
 
 # ------------------------------------------------------- random generators

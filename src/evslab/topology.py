@@ -60,6 +60,9 @@ def halving_nbhd(U: IntervalUnion) -> IntervalUnion:
     c0 = _zero_component(U)
     if c0.hi is INF:
         W = iu((0, INF))
+    elif c0.hi == 0:
+        # [0,0) would be empty: no neighbourhood of theta halves {0}
+        raise ValueError("the 0-component of the set is {0}")
     else:
         W = IntervalUnion((Interval(ZERO, True, c0.hi / 2, False),))
     if not st.iu_subset(st.iu_minkowski(W, W), U):
@@ -169,92 +172,10 @@ def scalar_continuity_witness(G: IntervalUnion, x, alpha: sc.Scalar):
 
 # ------------------------------------------------------------- boundedness
 
-def _iu_bounded(A: IntervalUnion, seed: int) -> CheckOutcome:
-    if A.is_empty():
-        raise ValueError("empty set")
-    s, attained = A.sup()
-    if s is not INF:
-        bound = s + 1
-        if not st.iu_subset(
-                A, IntervalUnion((Interval(ZERO, True, bound, False),))):
-            raise AssertionError("set escaped [0, sup + 1)")
-        return proven(f"contained in [0,{rat_str(bound)}) = "
-                      f"{rat_str(bound)}.[0,1)", seed=seed)
-    last = A.components[-1]
-    base = last.lo if last.lo_closed else last.lo + 1
-    return refuted(
-        {"x_n": f"{rat_str(base)} + n", "lambda_n": "1/n",
-         "limit": "lambda_n.x_n -> 1, never below 1/2",
-         "_raw_base": base},
-        seed=seed,
-        detail="unbounded tail: the sequence x_n = base + n with "
-               "lambda_n = 1/n keeps lambda_n.x_n >= 1")
-
-
-def _slice_bounded(A: st.ProductSlice, seed: int) -> CheckOutcome:
-    if A.is_empty():
-        raise ValueError("empty set")
-    sups = []
-    for iupart, reg in A.pieces:
-        if iupart.is_empty():
-            continue
-        s, _ = iupart.sup()
-        if s is INF:
-            last = iupart.components[-1]
-            base = last.lo if last.lo_closed else last.lo + 1
-            vec = reg.vectors[0] if reg.kind == st.FINITE_VECTORS \
-                else None
-            return refuted(
-                {"x_n": f"({rat_str(base)} + n, v)", "lambda_n": "1/n",
-                 "_raw_base": base, "_raw_vec": vec},
-                seed=seed,
-                detail="unbounded radial part: lambda_n.x_n keeps "
-                       "radial coordinate >= 1")
-        sups.append(s)
-        if reg.kind == st.BALL:
-            sups.append(reg.radius)
-        else:
-            for v in reg.vectors:
-                sups.append(max((sc.modulus_squared(c) for c in v),
-                                default=ZERO) + 1)
-    bound = max(sups, default=ZERO) + 1
-    return proven(
-        f"contained in {rat_str(bound)}.([0,1) x ball(1)) up to radius "
-        f"rescaling", seed=seed)
-
-
-def _predicate_bounded(A: st.PredicateSet, budget: int,
-                       seed: int) -> CheckOutcome:
-    """Sequence falsifier over the half line: hunt members x_n >= n; if
-    they keep appearing, lambda_n = 1/n never sends them to theta."""
-    escapes = 0
-    last = None
-    for n in range(1, max(2, budget) + 1):
-        cand = rat(n)
-        if A.member(cand):
-            escapes += 1
-            last = n
-    if escapes >= 3:
-        return refuted(
-            {"x_n": "n for every tested member index", "lambda_n": "1/n",
-             "last_n": str(last)},
-            escapes, seed,
-            "lambda_n.x_n = 1 for every hit; the sequence never enters "
-            "[0,1/2)")
-    return unfalsified(max(2, budget), seed,
-                       "no escaping sequence found on the integer grid")
-
-
 def is_bounded_set(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
     """Exact boundedness for interval unions and product slices, a
     sequence falsifier for predicate sets over the half line."""
-    if isinstance(A, IntervalUnion):
-        return _iu_bounded(A, seed)
-    if isinstance(A, st.ProductSlice):
-        return _slice_bounded(A, seed)
-    if isinstance(A, st.PredicateSet):
-        return _predicate_bounded(A, budget, seed)
-    raise TypeError(f"unsupported set kind {type(A).__name__}")
+    return st.carrier_operation(A, "bounded")(E, budget, seed)
 
 
 def definition_bounded_grid(A: IntervalUnion, depth: int = 6) -> bool:
@@ -406,21 +327,10 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
         y = step * rng.randint(0, 30)
         if x != y:
             pairs.append((max(x, y), min(x, y)))
-    bad = None
-    for x, y in pairs:
-        found = False
-        for U in family:
-            for V in family:
-                up = st.iu_up(st.iu_translate(x, U))
-                down = st.iu_down(st.iu_translate(y, V))
-                if st.iu_intersect(up, down).is_empty():
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            bad = (x, y)
-            break
+    bad = next(((x, y) for x, y in pairs if not any(
+        st.iu_intersect(st.iu_up(st.iu_translate(x, U)),
+                        st.iu_down(st.iu_translate(y, V))).is_empty()
+        for U in family for V in family)), None)
     if bad is not None:
         out["iv"] = refuted({"x": rat_str(bad[0]), "y": rat_str(bad[1])},
                             len(pairs), seed,

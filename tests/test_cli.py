@@ -176,6 +176,36 @@ def test_all_matches_golden_records(runner):
     assert lines == GOLDEN_ALL.read_text(encoding="utf-8").splitlines()
 
 
+@pytest.mark.parametrize("kind", ["dict2", "lattice2"])
+def test_sets_input_matches_golden_records(runner, kind):
+    # `sets <kind> --input` on the committed set file: the per-set
+    # deciders of the box and subspace-family carriers, byte for byte
+    golden = GOLDEN_ALL.parent
+    res = runner.invoke(main, ["sets", kind, "--input",
+                               str(golden / f"{kind}-sets.txt"),
+                               "--budget", "200", "--seed", "7",
+                               "--format", "jsonlines", "--findings-ok"])
+    assert res.exit_code == 1, res.output  # some per-set Refuted verdicts
+    lines = [json.dumps(r, sort_keys=True) for r in _strip_elapsed(res.output)]
+    assert lines == (golden / f"sets-{kind}-b200-s7.jsonl").read_text(
+        encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("kind,text,carrier", [
+    ("dict2", "[0,1)x[0,2]\n", "AnchoredBoxUnion"),
+    ("lattice2", "{zero,full}\n", "LatticeFamily"),
+])
+def test_bounded_input_without_a_decider_is_a_usage_error(runner, tmp_path,
+                                                          kind, text,
+                                                          carrier):
+    f = tmp_path / "sets.txt"
+    f.write_text(text)
+    res = runner.invoke(main, ["bounded", kind, "--input", str(f)])
+    assert res.exit_code == 2, res.output
+    assert carrier in res.output
+    assert not isinstance(res.exception, TypeError)
+
+
 @pytest.mark.parametrize("family", ["[0,0]\n", "[0,1)\n[0,0] U (1,2)\n"])
 def test_localbase_family_with_a_zero_width_member(tmp_path, family):
     # a {0} member has width 0; the (iv) pair grid must still make progress

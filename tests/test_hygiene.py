@@ -39,3 +39,44 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unreferenced_functions(sets_source: str, other_sources) -> list:
+    """Top-level functions of ``sets.py`` that nothing reaches: not named
+    in another module, nor anywhere in ``sets.py`` outside their own
+    body.  The ``brute_*`` reference oracles and the ``random_*``
+    generators exist for tests and benchmarks, so they are exempt."""
+    tree = ast.parse(sets_source)
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else n.name
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+    elsewhere = set().union(*(names(ast.parse(s)) for s in other_sources))
+    top = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    out = []
+    for fn in top:
+        if fn.name.startswith(("brute_", "random_")):
+            continue
+        inside = set().union(*(names(n) for n in tree.body if n is not fn))
+        if fn.name not in inside and fn.name not in elsewhere:
+            out.append(fn.name)
+    return out
+
+
+def test_reachability_checker_sees_callers():
+    sets_src = ("def used(): pass\ndef lonely(): pass\n"
+                "def caller(): used()\ndef brute_x(): pass\n")
+    assert _unreferenced_functions(sets_src, ["from .sets import caller\n"]) \
+        == ["lonely"]
+    assert _unreferenced_functions(sets_src, ["st.lonely(st.caller)\n"]) \
+        == []
+
+
+def test_every_sets_function_is_reached_from_the_library():
+    others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
+              if p.name != "sets.py"]
+    assert _unreferenced_functions(
+        (SRC / "sets.py").read_text(encoding="utf-8"), others) == []

@@ -51,6 +51,18 @@ def test_halving_nbhd():
     assert halving_nbhd(iu((0, INF))) == iu((0, INF))
 
 
+def test_halving_nbhd_rejects_a_degenerate_zero_component():
+    # the 0-component {0} has no W with W + W inside it that is a
+    # neighbourhood of theta; [0,0) would not even contain theta
+    U = iu((0, 0, True, True), (1, 2, False, False))
+    with pytest.raises(ValueError):
+        halving_nbhd(U)
+    for family in ([U], [iu((0, 1)), U]):
+        out = check_local_base_conditions(family, 100, 42)["iii"]
+        assert out.refuted
+        assert out.witness == {"U": "[0,0] U (1,2)"}
+
+
 def test_decomposition_nbhd_and_open_decomposition():
     G = iu((0, 2), (3, 5, False, False))
     U = decomposition_nbhd(G, rat(1))
