@@ -2,18 +2,20 @@
 
 An EvsDescriptor bundles one concrete exponential-vector-space instance:
 its operations, order, exact primitive structure and a seeded sampler.
-The checkers in this module quantify over sampled elements and scalars;
-a Refuted verdict always carries a witness that re-evaluates to a
-violation, and Proven is only reported for laws an instance has flagged
-as exactly verified.
+The checkers in this module quantify over sampled elements and scalars.
+The axioms A1-A6 and primitive scaling are rows over
+``outcome.check_law``; a Refuted verdict always carries a witness, raw
+entries included, that re-evaluates to a violation, and Proven is only
+reported for laws an instance has flagged as exactly verified.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import scalars as sc
-from .outcome import (CheckOutcome, per_variable_budget, proven, refuted,
+from .outcome import (CheckOutcome, check_law, per_variable_budget, refuted,
                       subseed, unfalsified)
 
 AXIOM_IDS = (
@@ -81,219 +83,107 @@ def _scalar_tuples(E: EvsDescriptor, k: int, count: int, seed: int):
 
 
 def check_axioms(E: EvsDescriptor, budget: int, seed: int) -> dict:
-    """Per-axiom verdicts for A1-A6 on sampled elements and scalars."""
+    """Per-axiom verdicts for A1-A6 on sampled elements and scalars: each
+    row of ``_axiom_laws`` is one ``check_law`` run under its own subseed,
+    Proven where the instance flags the axiom as exactly verified."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     out = {}
-    for axiom_id, checker in _AXIOM_CHECKERS:
+    for axiom_id, arity, cases, holds, keys, detail in _axiom_laws(E):
         s = subseed(seed, f"axioms:{axiom_id}:{E.name}")
-        outcome = checker(E, budget, s)
-        if outcome.verdict == "Unfalsified" and axiom_id in E.exactly_verified:
-            outcome = proven(
-                f"exact arithmetic identity for {E.name}",
-                samples=outcome.samples_tried, seed=s)
-        out[axiom_id] = outcome
+        out[axiom_id] = check_law(
+            cases(per_variable_budget(budget, arity), s), holds,
+            _wit(E, *keys), detail, s,
+            f"exact arithmetic identity for {E.name}"
+            if axiom_id in E.exactly_verified else None)
     return out
 
 
-def _wit(E, **kw):
-    w = {}
-    for key, val in kw.items():
-        if isinstance(val, sc.Scalar):
-            w[key] = sc.render_scalar(val)
+def _wit(E, *keys):
+    """Witness function: a case's leading entries rendered under ``keys``,
+    each also kept raw under ``_raw_<key>`` for re-evaluation."""
+    def build(*case):
+        w = {}
+        for key, val in zip(keys, case):
+            w[key] = (sc.render_scalar(val) if isinstance(val, sc.Scalar)
+                      else E.render(val))
             w["_raw_" + key] = val
-        else:
-            w[key] = E.render(val)
-            w["_raw_" + key] = val
-    return w
+        return w
+    return build
 
 
-def _check_a1_assoc(E, budget, seed):
-    n = per_variable_budget(budget, 3)
-    xs = E.sample(subseed(seed, "x"), n)
-    ys = E.sample(subseed(seed, "y"), n)
-    zs = E.sample(subseed(seed, "z"), n)
-    tried = 0
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                tried += 1
-                if not E.eq(E.add(E.add(x, y), z), E.add(x, E.add(y, z))):
-                    return refuted(_wit(E, x=x, y=y, z=z), tried, seed,
-                                   "(x+y)+z != x+(y+z)")
-    return unfalsified(tried, seed)
+def _axiom_laws(E: EvsDescriptor) -> tuple:
+    """The axiom suite, one row per id: ``(id, arity, cases(n, s), holds,
+    keys, detail)``.  ``cases`` draws ``n`` samples per variable under
+    the subseed ``s``; each draw is a list of tuples, built once, and a
+    case joins one tuple of each draw in nested-loop order."""
+    def grid(*draws):
+        return lambda n, s: (sum(c, ()) for c in
+                             product(*[d(n, s) for d in draws]))
 
+    def elements(var):
+        return lambda n, s: [(x,) for x in E.sample(subseed(s, var), n)]
 
-def _check_a1_comm(E, budget, seed):
-    n = per_variable_budget(budget, 2)
-    xs = E.sample(subseed(seed, "x"), n)
-    ys = E.sample(subseed(seed, "y"), n)
-    tried = 0
-    for x in xs:
-        for y in ys:
-            tried += 1
-            if not E.eq(E.add(x, y), E.add(y, x)):
-                return refuted(_wit(E, x=x, y=y), tried, seed, "x+y != y+x")
-    return unfalsified(tried, seed)
+    def alphas(n, s):
+        return _scalar_tuples(E, 1, n, subseed(s, "alpha"))
 
+    def alpha_betas(n, s):
+        return _scalar_tuples(E, 2, n * n, subseed(s, "ab"))
 
-def _check_a1_id(E, budget, seed):
-    xs = E.sample(subseed(seed, "x"), per_variable_budget(budget, 1))
-    tried = 0
-    for x in xs:
-        tried += 1
-        if not E.eq(E.add(x, E.zero), x):
-            return refuted(_wit(E, x=x), tried, seed, "x+theta != x")
-    return unfalsified(tried, seed)
+    def pairs(n, s):
+        return E.comparable_pairs(subseed(s, "pairs"), n)
 
+    def primitive(forward):
+        return lambda n, s: ((x,) for x in E.sample(subseed(s, "x"), n)
+                             if E.is_primitive(x) == forward)
 
-def _check_a2_add(E, budget, seed):
-    n = per_variable_budget(budget, 2)
-    pairs = E.comparable_pairs(subseed(seed, "pairs"), n)
-    zs = E.sample(subseed(seed, "z"), n)
-    tried = 0
-    for x, y in pairs:
-        for z in zs:
-            tried += 1
-            if not E.leq(E.add(x, z), E.add(y, z)):
-                return refuted(_wit(E, x=x, y=y, z=z), tried, seed,
-                               "x<=y but x+z !<= y+z")
-    return unfalsified(tried, seed)
+    def inverse_sum_is_theta(x):
+        return E.eq(E.add(x, E.scale(sc.S_MINUS_ONE, x)), E.zero)
 
-
-def _check_a2_scale(E, budget, seed):
-    n = per_variable_budget(budget, 2)
-    pairs = E.comparable_pairs(subseed(seed, "pairs"), n)
-    alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
-    tried = 0
-    for x, y in pairs:
-        for a in alphas:
-            tried += 1
-            if not E.leq(E.scale(a, x), E.scale(a, y)):
-                return refuted(_wit(E, x=x, y=y, alpha=a), tried, seed,
-                               "x<=y but a.x !<= a.y")
-    return unfalsified(tried, seed)
-
-
-def _check_a3_i(E, budget, seed):
-    n = per_variable_budget(budget, 3)
-    alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
-    xs = E.sample(subseed(seed, "x"), n)
-    ys = E.sample(subseed(seed, "y"), n)
-    tried = 0
-    for a in alphas:
-        for x in xs:
-            for y in ys:
-                tried += 1
-                lhs = E.scale(a, E.add(x, y))
-                rhs = E.add(E.scale(a, x), E.scale(a, y))
-                if not E.eq(lhs, rhs):
-                    return refuted(_wit(E, alpha=a, x=x, y=y), tried, seed,
-                                   "a.(x+y) != a.x + a.y")
-    return unfalsified(tried, seed)
-
-
-def _check_a3_ii(E, budget, seed):
-    n = per_variable_budget(budget, 3)
-    tuples = _scalar_tuples(E, 2, n * n, subseed(seed, "ab"))
-    xs = E.sample(subseed(seed, "x"), n)
-    tried = 0
-    for a, b in tuples:
-        for x in xs:
-            tried += 1
-            if not E.eq(E.scale(a, E.scale(b, x)), E.scale(a * b, x)):
-                return refuted(_wit(E, alpha=a, beta=b, x=x), tried, seed,
-                               "a.(b.x) != (ab).x")
-    return unfalsified(tried, seed)
-
-
-def _check_a3_iii(E, budget, seed):
-    n = per_variable_budget(budget, 3)
-    tuples = _scalar_tuples(E, 2, n * n, subseed(seed, "ab"))
-    xs = E.sample(subseed(seed, "x"), n)
-    tried = 0
-    for a, b in tuples:
-        for x in xs:
-            tried += 1
-            lhs = E.scale(a + b, x)
-            rhs = E.add(E.scale(a, x), E.scale(b, x))
-            if not E.leq(lhs, rhs):
-                return refuted(_wit(E, alpha=a, beta=b, x=x), tried, seed,
-                               "(a+b).x !<= a.x + b.x")
-    return unfalsified(tried, seed)
-
-
-def _check_a3_iv(E, budget, seed):
-    xs = E.sample(subseed(seed, "x"), per_variable_budget(budget, 1))
-    tried = 0
-    for x in xs:
-        tried += 1
-        if not E.eq(E.scale(sc.S_ONE, x), x):
-            return refuted(_wit(E, x=x), tried, seed, "1.x != x")
-    return unfalsified(tried, seed)
-
-
-def _check_a4(E, budget, seed):
-    n = per_variable_budget(budget, 2)
-    alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
-    xs = E.sample(subseed(seed, "x"), n)
-    tried = 0
-    for a in alphas:
-        for x in xs:
-            tried += 1
-            is_theta = E.eq(E.scale(a, x), E.zero)
-            should = a.is_zero() or E.eq(x, E.zero)
-            if is_theta != should:
-                return refuted(_wit(E, alpha=a, x=x), tried, seed,
-                               "a.x=theta fails iff (a=0 or x=theta)")
-    return unfalsified(tried, seed)
-
-
-def _check_a5(E, budget, seed, forward: bool):
-    xs = E.sample(subseed(seed, "x"), per_variable_budget(budget, 1))
-    tried = 0
-    for x in xs:
-        prim = E.is_primitive(x)
-        if prim != forward:
-            continue
-        tried += 1
-        inv_sum = E.add(x, E.scale(sc.S_MINUS_ONE, x))
-        if forward and not E.eq(inv_sum, E.zero):
-            return refuted(_wit(E, x=x), tried, seed,
-                           "x primitive but x+(-1).x != theta")
-        if not forward and E.eq(inv_sum, E.zero):
-            return refuted(_wit(E, x=x), tried, seed,
-                           "x not primitive but x+(-1).x = theta")
-    return unfalsified(tried, seed)
-
-
-def _check_a6(E, budget, seed):
-    xs = E.sample(subseed(seed, "x"), per_variable_budget(budget, 1))
-    tried = 0
-    for x in xs:
-        tried += 1
-        p = E.primitive_witness(x)
-        if not (E.is_primitive(p) and E.leq(p, x)):
-            return refuted(_wit(E, x=x, p=p), tried, seed,
-                           "primitive witness invalid")
-    return unfalsified(tried, seed)
-
-
-_AXIOM_CHECKERS = (
-    ("A1.assoc", _check_a1_assoc),
-    ("A1.comm", _check_a1_comm),
-    ("A1.id", _check_a1_id),
-    ("A2.add", _check_a2_add),
-    ("A2.scale", _check_a2_scale),
-    ("A3.i", _check_a3_i),
-    ("A3.ii", _check_a3_ii),
-    ("A3.iii", _check_a3_iii),
-    ("A3.iv", _check_a3_iv),
-    ("A4", _check_a4),
-    ("A5.fwd", lambda E, b, s: _check_a5(E, b, s, True)),
-    ("A5.bwd", lambda E, b, s: _check_a5(E, b, s, False)),
-    ("A6", _check_a6),
-)
+    xs, ys, zs = elements("x"), elements("y"), elements("z")
+    return (
+        ("A1.assoc", 3, grid(xs, ys, zs),
+         lambda x, y, z: E.eq(E.add(E.add(x, y), z), E.add(x, E.add(y, z))),
+         ("x", "y", "z"), "(x+y)+z != x+(y+z)"),
+        ("A1.comm", 2, grid(xs, ys),
+         lambda x, y: E.eq(E.add(x, y), E.add(y, x)),
+         ("x", "y"), "x+y != y+x"),
+        ("A1.id", 1, grid(xs),
+         lambda x: E.eq(E.add(x, E.zero), x), ("x",), "x+theta != x"),
+        ("A2.add", 2, grid(pairs, zs),
+         lambda x, y, z: E.leq(E.add(x, z), E.add(y, z)),
+         ("x", "y", "z"), "x<=y but x+z !<= y+z"),
+        ("A2.scale", 2, grid(pairs, alphas),
+         lambda x, y, a: E.leq(E.scale(a, x), E.scale(a, y)),
+         ("x", "y", "alpha"), "x<=y but a.x !<= a.y"),
+        ("A3.i", 3, grid(alphas, xs, ys),
+         lambda a, x, y: E.eq(E.scale(a, E.add(x, y)),
+                              E.add(E.scale(a, x), E.scale(a, y))),
+         ("alpha", "x", "y"), "a.(x+y) != a.x + a.y"),
+        ("A3.ii", 3, grid(alpha_betas, xs),
+         lambda a, b, x: E.eq(E.scale(a, E.scale(b, x)), E.scale(a * b, x)),
+         ("alpha", "beta", "x"), "a.(b.x) != (ab).x"),
+        ("A3.iii", 3, grid(alpha_betas, xs),
+         lambda a, b, x: E.leq(E.scale(a + b, x),
+                               E.add(E.scale(a, x), E.scale(b, x))),
+         ("alpha", "beta", "x"), "(a+b).x !<= a.x + b.x"),
+        ("A3.iv", 1, grid(xs),
+         lambda x: E.eq(E.scale(sc.S_ONE, x), x), ("x",), "1.x != x"),
+        ("A4", 2, grid(alphas, xs),
+         lambda a, x: E.eq(E.scale(a, x), E.zero) == (
+             a.is_zero() or E.eq(x, E.zero)),
+         ("alpha", "x"), "a.x=theta fails iff (a=0 or x=theta)"),
+        # A5 counts only the samples on its side of the primitive split
+        ("A5.fwd", 1, primitive(True), inverse_sum_is_theta,
+         ("x",), "x primitive but x+(-1).x != theta"),
+        ("A5.bwd", 1, primitive(False),
+         lambda x: not inverse_sum_is_theta(x),
+         ("x",), "x not primitive but x+(-1).x = theta"),
+        ("A6", 1, lambda n, s: ((x, E.primitive_witness(x))
+                                for x in E.sample(subseed(s, "x"), n)),
+         lambda x, p: E.is_primitive(p) and E.leq(p, x),
+         ("x", "p"), "primitive witness invalid"),
+    )
 
 
 def primitive_samples(E: EvsDescriptor, x, budget: int, seed: int):
@@ -314,25 +204,22 @@ def check_primitive_scaling(E: EvsDescriptor, budget: int,
     n = per_variable_budget(budget, 2)
     xs = E.sample(subseed(seed, "x"), n)
     alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
-    tried = 0
     exact = E.primitive_set is not None
-    for x in xs:
-        px = primitive_samples(E, x, n, subseed(seed, "px"))
-        for a in alphas:
-            tried += 1
-            ax = E.scale(a, x)
-            pax = primitive_samples(E, ax, n, subseed(seed, "pax"))
-            scaled = [E.scale(a, p) for p in px]
-            fwd = all(any(E.eq(s, q) for q in pax) for s in scaled)
-            bwd = all(any(E.eq(q, s) for s in scaled) for q in pax) if exact \
-                else True
-            if not (fwd and bwd):
-                return refuted(_wit(E, x=x, alpha=a), tried, seed,
-                               "P_{a.x} != a.P_x")
-    if exact:
-        return proven("exact primitive sets compared on all samples",
-                      tried, seed)
-    return unfalsified(tried, seed)
+
+    def holds(x, a, px):
+        pax = primitive_samples(E, E.scale(a, x), n, subseed(seed, "pax"))
+        scaled = [E.scale(a, p) for p in px]
+        fwd = all(any(E.eq(s, q) for q in pax) for s in scaled)
+        bwd = not exact or all(any(E.eq(q, s) for s in scaled) for q in pax)
+        return fwd and bwd
+
+    # P_x is found once per x, when the walk reaches it
+    return check_law(
+        ((x, a, px) for x in xs
+         for px in [primitive_samples(E, x, n, subseed(seed, "px"))]
+         for a in alphas),
+        holds, _wit(E, "x", "alpha"), "P_{a.x} != a.P_x", seed,
+        "exact primitive sets compared on all samples" if exact else None)
 
 
 def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
@@ -350,19 +237,18 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
         for y in ys:
             tried += 1
             if not E_Y.eq(f(E_X.add(x, y)), E_Y.add(f(x), f(y))):
-                return refuted(_wit(E_X, x=x, y=y), tried, seed,
+                return refuted(_wit(E_X, "x", "y")(x, y), tried, seed,
                                "f(x+y) != f(x)+f(y)")
     for x in xs:
         for a in alphas:
             tried += 1
             if not E_Y.eq(f(E_X.scale(a, x)), E_Y.scale(a, f(x))):
-                return refuted(
-                    {"x": E_X.render(x), "alpha": sc.render_scalar(a)},
-                    tried, seed, "f(a.x) != a.f(x)")
+                return refuted(_wit(E_X, "x", "alpha")(x, a), tried, seed,
+                               "f(a.x) != a.f(x)")
     for x, y in E_X.comparable_pairs(subseed(seed, "pairs"), n):
         tried += 1
         if not E_Y.leq(f(x), f(y)):
-            return refuted(_wit(E_X, x=x, y=y), tried, seed,
+            return refuted(_wit(E_X, "x", "y")(x, y), tried, seed,
                            "x<=y but f(x) !<= f(y)")
     # preimage conditions on sampled pools
     pool = E_X.sample(subseed(seed, "pool"), 2 * n)
@@ -408,8 +294,9 @@ def check_subevs(E: EvsDescriptor, member_of_y: Callable, budget: int,
                 tried += 1
                 z = E.add(E.scale(a, x), y)
                 if not member_of_y(z):
-                    return refuted(_wit(E, alpha=a, x=x, y=y, escaped=z),
-                                   tried, seed, "a.x+y left Y")
+                    return refuted(
+                        _wit(E, "alpha", "x", "y", "escaped")(a, x, y, z),
+                        tried, seed, "a.x+y left Y")
     # minimality cross-check: an element of Y minimal among samples of Y
     # but strictly above some sampled Y element would violate Y0 <= X0
     for z in pool:
@@ -425,7 +312,7 @@ def check_subevs(E: EvsDescriptor, member_of_y: Callable, budget: int,
             candidates.append(w)
         if not candidates:
             return refuted(
-                _wit(E, y=z), tried, seed,
+                _wit(E, "y")(z), tried, seed,
                 "no primitive of Y found below sampled y "
                 "(witness not in Y, no sampled primitive below)")
     return unfalsified(tried, seed)
@@ -452,9 +339,8 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
     prim_set = None
     if all(p.primitive_set is not None for p in parts):
         def prim_set(x):
-            from itertools import product as iproduct
             factor_sets = [p.primitive_set(xi) for p, xi in zip(parts, x)]
-            return [tuple(t) for t in iproduct(*factor_sets)]
+            return [tuple(t) for t in product(*factor_sets)]
 
     return EvsDescriptor(
         name="product(" + ",".join(p.name for p in parts) + ")",

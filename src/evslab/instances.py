@@ -372,6 +372,8 @@ def make_instance(spec: str) -> EvsDescriptor:
     from .core import product_evs
 
     spec = spec.strip()
+    if spec in PLANTED_FAULTS:
+        return PLANTED_FAULTS[spec]()
     if spec == "halfline":
         return half_line()
     if spec == "dict2":
@@ -391,8 +393,6 @@ def make_instance(spec: str) -> EvsDescriptor:
             raise ValueError(f"bad instance spec {spec!r}: expected "
                              "product:(<spec>,<spec>,...)")
         return product_evs([make_instance(p) for p in parts])
-    if spec in PLANTED_FAULTS:
-        return PLANTED_FAULTS[spec]()
     raise ValueError(f"unknown instance {spec!r}")
 
 

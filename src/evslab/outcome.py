@@ -7,7 +7,7 @@ Refuted (with a witness that re-evaluates to a violation) or Unfalsified
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 PROVEN = "Proven"
 REFUTED = "Refuted"
@@ -57,6 +57,33 @@ def refuted(witness: dict, samples: int = 0, seed: int = 0,
 
 def unfalsified(samples: int, seed: int, detail: str = "") -> CheckOutcome:
     return CheckOutcome(UNFALSIFIED, None, samples, seed, detail)
+
+
+def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
+              witness: Callable[..., dict], detail: str, seed: int,
+              proven_detail: Optional[str] = None) -> CheckOutcome:
+    """Refuted at the first case where ``holds(*case)`` is false, with
+    ``witness(*case)`` as its witness.  When it holds on every case the
+    run ends Proven with ``proven_detail``, or Unfalsified when that is
+    None.  ``samples_tried`` counts the cases evaluated.
+
+    ``holds`` looks its deciders up when the law runs, so a rebound
+    module global (a tracer, a test double) is seen; an object the law
+    constructs is built once, as an entry of its case.
+    """
+    tried = 0
+    for case in cases:
+        tried += 1
+        if not holds(*case):
+            return refuted(witness(*case), tried, seed, detail)
+    if proven_detail is None:
+        return unfalsified(tried, seed)
+    return proven(proven_detail, tried, seed)
+
+
+def rendered(*keys: str) -> Callable[..., dict]:
+    """Witness function: a case's leading entries rendered under ``keys``."""
+    return lambda *case: {k: v.render() for k, v in zip(keys, case)}
 
 
 def subseed(seed: int, check_id: str) -> int:

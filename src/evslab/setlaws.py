@@ -1,8 +1,9 @@
 """Closure laws for absorbing/balanced sets, radial separation, and
 transport of set verdicts along order-isomorphisms.
 
-Every corpus law, here and in ``topology``, is one ``check_law`` call: a
-lazy stream of cases and a predicate that must hold on each.  The closure
+Every corpus law, here and in ``topology``, is one ``outcome.check_law``
+row: a lazy stream of cases, a predicate that must hold on each and a
+``rendered`` witness of the case's sets.  The closure
 drivers generate random exact sets, filter them through the exact
 deciders, apply each construction and re-decide.  The radial checker
 replays the separating constructions of the source material exactly on
@@ -12,14 +13,15 @@ on the subspace lattice from the exact absorbing characterisation.
 
 import random
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import scalars as sc
 from . import sets as st
 from ._backend import ZERO, Rat, rat
 from .core import EvsDescriptor
 from .instances import OrderIso
-from .outcome import (CheckOutcome, proven, refuted, subseed, unfalsified)
+from .outcome import (CheckOutcome, check_law, proven, refuted, rendered,
+                      subseed, unfalsified)
 
 ABSORBING_LAW_IDS = ("absorbing.i", "absorbing.ii", "absorbing.iii",
                      "absorbing.iv", "absorbing.v")
@@ -31,26 +33,6 @@ _CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
 # partner-set cap for the pairwise laws: keeps the drivers linear in the
 # corpus size while every generated set still appears on the outer side
 _PAIR_CAP = 40
-
-
-def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
-              keys: Sequence[str], detail: str, seed: int,
-              proven_detail: str) -> CheckOutcome:
-    """Refuted at the first case where ``holds(*case)`` is false, with
-    the case's leading entries rendered under ``keys``; Proven when it
-    holds on every case.  ``samples_tried`` counts the cases evaluated.
-
-    ``holds`` looks its deciders up when the law runs, so a rebound
-    module global (a tracer, a test double) is seen; a set the law
-    constructs is built once, as an entry of its case.
-    """
-    tried = 0
-    for case in cases:
-        tried += 1
-        if not holds(*case):
-            return refuted({k: v.render() for k, v in zip(keys, case)},
-                           tried, seed, detail)
-    return proven(proven_detail, tried, seed)
 
 
 def _require_interval_support(E: EvsDescriptor):
@@ -90,30 +72,33 @@ def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
         # (i) theta membership
         "absorbing.i": law(
             ((A,) for A in absorbing), lambda A: A.contains_zero(),
-            ("set",), "absorbing set without theta"),
+            rendered("set"), "absorbing set without theta"),
         # (ii) finite intersections
         "absorbing.ii": law(
             ((A, B, st.iu_intersect(A, B))
              for A in absorbing for B in partners),
             lambda A, B, C: not C.is_empty() and st.is_absorbing(C).proven,
-            ("A", "B", "A&B"), "intersection of absorbing sets not absorbing"),
+            rendered("A", "B", "A&B"),
+            "intersection of absorbing sets not absorbing"),
         # (iii) supersets / unions
         "absorbing.iii": law(
             ((A, B, st.iu_union(A, B)) for A in absorbing for B in extras),
             lambda A, B, C: st.is_absorbing(C).proven,
-            ("A", "B", "AuB"), "superset of an absorbing set not absorbing"),
+            rendered("A", "B", "AuB"),
+            "superset of an absorbing set not absorbing"),
         # (iv) up/down stability
         "absorbing.iv": law(
             ((A, img) for A in absorbing
              for img in (st.iu_up(A), st.iu_down(A))),
             lambda A, img: st.is_absorbing(img).proven,
-            ("A", "image"), "up/down image of an absorbing set not absorbing"),
+            rendered("A", "image"),
+            "up/down image of an absorbing set not absorbing"),
         # (v) nonzero scaling
         "absorbing.v": law(
             ((A, lam, st.scale_set(lam, A))
              for A in absorbing for lam in lams),
             lambda A, lam, C: st.is_absorbing(C).proven,
-            ("A", "lambda", "lamA"),
+            rendered("A", "lambda", "lamA"),
             "nonzero scaling of an absorbing set not absorbing"),
     }
 
@@ -132,25 +117,28 @@ def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
     return {
         "balanced.i": law(
             ((A,) for A in balanced), lambda A: A.contains_zero(),
-            ("set",), "balanced set without theta"),
+            rendered("set"), "balanced set without theta"),
         "balanced.ii": law(
             ((A, B, st.iu_intersect(A, B))
              for A in balanced for B in partners),
             lambda A, B, C: C.is_empty() or st.is_balanced(C).proven,
-            ("A", "B", "A&B"), "intersection of balanced sets not balanced"),
+            rendered("A", "B", "A&B"),
+            "intersection of balanced sets not balanced"),
         "balanced.iii": law(
             ((A, B, st.iu_union(A, B)) for A in balanced for B in partners),
             lambda A, B, C: st.is_balanced(C).proven,
-            ("A", "B", "AuB"), "union of balanced sets not balanced"),
+            rendered("A", "B", "AuB"), "union of balanced sets not balanced"),
         "balanced.iv": law(
             ((A, img) for A in balanced
              for img in (st.iu_up(A), st.iu_down(A))),
             lambda A, img: st.is_balanced(img).proven,
-            ("A", "image"), "up/down image of a balanced set not balanced"),
+            rendered("A", "image"),
+            "up/down image of a balanced set not balanced"),
         "balanced.v": law(
             ((A, lam, st.scale_set(lam, A)) for A in balanced for lam in lams),
             lambda A, lam, C: not C.is_empty() and st.is_balanced(C).proven,
-            ("A", "lambda", "lamA"), "scaling of a balanced set not balanced"),
+            rendered("A", "lambda", "lamA"),
+            "scaling of a balanced set not balanced"),
     }
 
 

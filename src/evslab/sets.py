@@ -581,6 +581,9 @@ class VectorRegion:
         r2 = self.radius * self.radius
         return all(sc.modulus_squared(v) <= r2 for v in a)
 
+    def is_empty(self) -> bool:
+        return self.kind == FINITE_VECTORS and not self.vectors
+
     def render(self) -> str:
         if self.kind == FINITE_VECTORS:
             return "{" + ";".join(
@@ -611,8 +614,14 @@ class ProductSlice:
         return any(iupart.member(r) and reg.member(a)
                    for iupart, reg in self.pieces)
 
+    def _nonempty_pieces(self) -> list:
+        """The pieces whose radial part and vector region are both
+        nonempty; a piece with either one empty contributes no point."""
+        return [(iupart, reg) for iupart, reg in self.pieces
+                if not (iupart.is_empty() or reg.is_empty())]
+
     def is_empty(self) -> bool:
-        return all(iupart.is_empty() for iupart, _ in self.pieces)
+        return not self._nonempty_pieces()
 
     def render(self) -> str:
         return " U ".join(f"{iupart.render()}x{reg.render()}"
@@ -627,9 +636,7 @@ class ProductSlice:
         if self.is_empty():
             raise ValueError("empty set")
         ok = True
-        for iupart, reg in self.pieces:
-            if iupart.is_empty():
-                continue
+        for iupart, reg in self._nonempty_pieces():
             comps = iupart.components
             star = len(comps) == 1 and comps[0].lo == 0 and \
                 comps[0].lo_closed
@@ -638,11 +645,11 @@ class ProductSlice:
         if ok:
             return proven("every piece is [0,s)-style x ball")
         # fall back to a scan for an explicit violation over piece endpoints
-        for iupart, reg in self.pieces:
-            if iupart.is_empty() or iupart.contains_zero():
+        for iupart, reg in self._nonempty_pieces():
+            if iupart.contains_zero():
                 continue
             r = iupart.components[0].rep_point()
-            if reg.kind == FINITE_VECTORS and reg.vectors:
+            if reg.kind == FINITE_VECTORS:
                 a = reg.vectors[0]
                 x = (r, a)
                 # alpha = 0 sends x to theta; theta may be missing
@@ -655,9 +662,7 @@ class ProductSlice:
                            "endpoints")
 
     def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
-        for iupart, reg in self.pieces:
-            if iupart.is_empty():
-                continue
+        for iupart, reg in self._nonempty_pieces():
             c0 = iupart.components[0]
             has_radial_nbhd = c0.lo == 0 and c0.lo_closed and (
                 c0.hi is INF or c0.hi > 0)
@@ -674,9 +679,7 @@ class ProductSlice:
         if self.is_empty():
             raise ValueError("empty set")
         sups = []
-        for iupart, reg in self.pieces:
-            if iupart.is_empty():
-                continue
+        for iupart, reg in self._nonempty_pieces():
             s, _ = iupart.sup()
             if s is INF:
                 last = iupart.components[-1]

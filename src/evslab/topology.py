@@ -17,9 +17,10 @@ from typing import List, Sequence, Tuple
 from . import scalars as sc
 from . import sets as st
 from ._backend import ONE, ZERO, Rat, rat, rat_str
-from .outcome import (CheckOutcome, proven, refuted, subseed, unfalsified)
+from .outcome import (CheckOutcome, check_law, proven, refuted, rendered,
+                      subseed, unfalsified)
 from .sets import INF, Interval, IntervalUnion, interval_union, iu
-from .setlaws import check_law, transport_set
+from .setlaws import transport_set
 
 _CORPUS_PROVEN = "exact re-decision succeeded on the whole corpus"
 
@@ -218,27 +219,28 @@ def check_bounded_laws(E, budget: int, seed: int) -> dict:
         "bounded.defs-agree": law(
             ((A,) for A in corpus),
             lambda A: definition_bounded_grid(A) == is_bounded_set(A).proven,
-            ("set",), "definition grid and sup characterization disagree"),
+            rendered("set"),
+            "definition grid and sup characterization disagree"),
         "bounded.finite": law(
             ((A,) for A in finite_sets),
             lambda A: is_bounded_set(A).proven,
-            ("set",), "finite set not bounded"),
+            rendered("set"), "finite set not bounded"),
         "bounded.compact": law(
             ((A,) for A in compacts),
             lambda A: not is_compact(A) or is_bounded_set(A).proven,
-            ("set",), "compact set not bounded"),
+            rendered("set"), "compact set not bounded"),
         "bounded.sum": law(
             ((A, B, st.iu_minkowski(A, B)) for A in bounded for B in bounded),
             lambda A, B, C: is_bounded_set(C).proven,
-            ("A", "B"), "sum of bounded sets not bounded"),
+            rendered("A", "B"), "sum of bounded sets not bounded"),
         "bounded.scale": law(
             ((A, lam, st.scale_set(lam, A)) for A in bounded for lam in lams),
             lambda A, lam, C: C.is_empty() or is_bounded_set(C).proven,
-            ("A", "lambda"), "scaling of a bounded set not bounded"),
+            rendered("A", "lambda"), "scaling of a bounded set not bounded"),
         "bounded.subset": law(
             ((A, B, st.iu_intersect(A, B)) for A in bounded for B in corpus),
             lambda A, B, C: C.is_empty() or is_bounded_set(C).proven,
-            ("A", "B"), "subset of a bounded set not bounded"),
+            rendered("A", "B"), "subset of a bounded set not bounded"),
     }
 
 
@@ -294,12 +296,12 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
         "i": law(
             ((U,) for U in family),
             lambda U: st.is_balanced(U).proven and st.is_absorbing(U).proven,
-            ("U",), "member not balanced and absorbing"),
+            rendered("U"), "member not balanced and absorbing"),
         # (ii) some member inside each pairwise intersection — exact search
         "ii": law(
             ((U, V, st.iu_intersect(U, V)) for U in family for V in family),
             lambda U, V, I: any(st.iu_subset(W, I) for W in family),
-            ("U", "V"), "no member inside the intersection"),
+            rendered("U", "V"), "no member inside the intersection"),
         # (iii) halving: for each U a verified W with W + W inside U.  A
         # family member is preferred; otherwise the halved 0-component is
         # constructed and checked exactly (a finite truncation of a nested
@@ -308,7 +310,7 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
             ((U,) for U in family),
             lambda U: any(st.iu_subset(st.iu_minkowski(W, W), U)
                           for W in family) or _halves(U),
-            ("U",), "no W with W + W inside U"),
+            rendered("U"), "no W with W + W inside U"),
     }
 
     # (iv) order separation within the family over sampled pairs x > y.

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from evslab import cli as cli_module
 from evslab.cli import main
+from evslab.instances import PLANTED_FAULTS, make_instance
 
 
 @pytest.fixture
@@ -235,3 +236,20 @@ def test_localbase_bad_family_is_a_usage_error(runner, tmp_path, family,
     assert res.exit_code == 2
     assert message in res.output
     assert not isinstance(res.exception, ValueError)
+
+
+@pytest.mark.parametrize("fault,expected_id", [
+    ("halfline#no-modulus", "A2.scale"),
+    ("twisted:2#no-zero-case", "A4"),
+    ("lattice2#no-canonicalization", "A1.comm"),
+])
+def test_planted_fault_is_reachable_by_its_spec(runner, fault, expected_id):
+    assert set(PLANTED_FAULTS) == {"halfline#no-modulus",
+                                   "twisted:2#no-zero-case",
+                                   "lattice2#no-canonicalization"}
+    assert make_instance(fault).name == fault
+    res = runner.invoke(main, ["axioms", fault, "--budget", "200",
+                               "--format", "jsonlines"])
+    assert res.exit_code == 1, res.output
+    verdicts = {r["checkId"]: r["verdict"] for r in _strip_elapsed(res.output)}
+    assert verdicts["axioms." + expected_id] == "Refuted"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from evslab import core, scalars as sc
@@ -143,3 +146,39 @@ def test_product_componentwise():
     assert P.eq(P.add(x, P.zero), x)
     two = sc.scalar(2)
     assert P.scale(two, x)[0] == 2 * x[0]
+
+
+GOLDEN_AXIOMS = (Path(__file__).resolve().parent / "golden"
+                 / "axioms-outcomes.jsonl")
+
+
+def _axiom_outcome_lines():
+    """``check_axioms`` and ``check_primitive_scaling`` on the six shipped
+    instances and the planted faults, at budgets 1, 50 and 500 and seeds
+    1 and 42: one JSON line per outcome, with verdict, count, seed,
+    detail, the public witness and the ``repr`` of every raw entry."""
+    builds = [(spec, lambda spec=spec: make_instance(spec))
+              for spec in ALL_SPECS] + sorted(PLANTED_FAULTS.items())
+    lines = []
+    for name, build in builds:
+        E = build()
+        for budget in (1, 50, 500):
+            for seed in (1, 42):
+                outcomes = dict(check_axioms(E, budget, seed))
+                outcomes["primitive_scaling"] = core.check_primitive_scaling(
+                    E, budget, seed)
+                for check, o in outcomes.items():
+                    w = o.witness or {}
+                    rec = dict(o.to_dict(), instance=name, budget=budget,
+                               runSeed=seed, check=check,
+                               witness={k: v for k, v in w.items()
+                                        if not k.startswith("_raw_")},
+                               raw={k: repr(v) for k, v in w.items()
+                                    if k.startswith("_raw_")})
+                    lines.append(json.dumps(rec, sort_keys=True))
+    return lines
+
+
+def test_axiom_outcomes_match_golden_records():
+    assert _axiom_outcome_lines() == GOLDEN_AXIOMS.read_text(
+        encoding="utf-8").splitlines()

@@ -334,3 +334,32 @@ def test_slice_and_predicate_outcomes_match_golden():
     assert _pinned_outcome_lines() == (
         GOLDEN / "slice-predicate-outcomes.jsonl").read_text(
             encoding="utf-8").splitlines()
+
+
+def _decisions(A, E):
+    """Outcome of each of the three deciders on ``A``, or the exception
+    it raises."""
+    out = []
+    for decide in (S.is_balanced, S.is_absorbing, topology.is_bounded_set):
+        try:
+            o = decide(A, E, 60, 11)
+        except (TypeError, ValueError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        else:
+            out.append((o.verdict, o.detail, o.samples_tried, o.seed,
+                        {k: v for k, v in (o.witness or {}).items()
+                         if not k.startswith("_")}))
+    return out
+
+
+@pytest.mark.parametrize("E", [make_instance("cone:1"), None],
+                         ids=["cone:1", "no-descriptor"])
+def test_slice_piece_with_empty_vector_set_is_empty(E):
+    nothing = S.finite_vectors()
+    for radial in (iu((0, INF)), iu((0, 1))):
+        A = S.product_slice((radial, nothing))
+        assert A.is_empty()
+        assert _decisions(A, E) == _decisions(S.product_slice(), E)
+    unit = (iu((0, 1)), S.ball(1))
+    assert _decisions(S.product_slice((iu((0, INF)), nothing), unit), E) == \
+        _decisions(S.product_slice(unit), E)
