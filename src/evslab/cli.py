@@ -114,7 +114,8 @@ def run_sets(spec: str, budget: int, seed: int,
         recs += _records_from_map(
             "sets", E.name, "sets",
             setlaws.check_balanced_closure_laws(E, budget, seed))
-    for i, A in enumerate(_load_sets(input_path, E.element_kind)):
+    for i, A in enumerate(_load_sets(input_path, E.element_kind,
+                                     nonempty=True)):
         recs.append(_timed(
             f"sets.input{i}.balanced", E.name, "sets",
             lambda A=A: st.is_balanced(A, E, budget,
@@ -146,7 +147,7 @@ def run_bounded(spec: str, budget: int, seed: int,
             topology.check_bounded_laws(E, budget, seed))
         for r in recs:
             r.check_id = r.check_id.lstrip(".")
-    inputs = _load_sets(input_path, E.element_kind)
+    inputs = _load_sets(input_path, E.element_kind, nonempty=True)
     for A in inputs:
         if not hasattr(A, "bounded"):
             raise click.UsageError(
@@ -227,7 +228,8 @@ def run_all(spec: str, budget: int, seed: int) -> List[ReportRecord]:
     return recs
 
 
-def _load_sets(input_path: Optional[str], kind: str):
+def _load_sets(input_path: Optional[str], kind: str,
+               nonempty: bool = False):
     if input_path is None:
         return []
     try:
@@ -240,9 +242,12 @@ def _load_sets(input_path: Optional[str], kind: str):
         if not ln or ln.startswith("#"):
             continue
         try:
-            out.append(setexpr.parse_set_expression(ln, kind))
+            A = setexpr.parse_set_expression(ln, kind)
         except ValueError as exc:
             raise click.UsageError(f"{input_path}:{lineno}: {exc}")
+        if nonempty and A.is_empty():
+            raise click.UsageError(f"{input_path}:{lineno}: set is empty")
+        out.append(A)
     return out
 
 
@@ -293,9 +298,13 @@ def _resolve_seed(seed: Optional[int]) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("EVS_LAB_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise click.UsageError(
+            f"EVS_LAB_SEED must be an integer, not {env!r}")
 
 
 @click.group()

@@ -88,6 +88,13 @@ def test_seed_env_variable(runner):
                for r in _strip_elapsed(a.output)[:1])
 
 
+def test_bad_seed_env_variable_is_a_usage_error(runner):
+    res = runner.invoke(main, ["all", "halfline"], env={"EVS_LAB_SEED": "abc"})
+    assert res.exit_code == 2
+    assert "EVS_LAB_SEED" in res.output
+    assert not isinstance(res.exception, ValueError)
+
+
 def test_sets_with_input_file(runner, tmp_path):
     f = tmp_path / "sets.txt"
     f.write_text("# a comment\n[0,1)\n\n[1,2)\n")
@@ -105,6 +112,21 @@ def test_input_file_error_reports_line(runner, tmp_path):
     res = runner.invoke(main, ["sets", "halfline", "--input", str(f)])
     assert res.exit_code == 2
     assert "bad.txt:2" in res.output
+
+
+@pytest.mark.parametrize("command,kind,good,empty", [
+    ("sets", "halfline", "[0,1)", "[2,1)"),
+    ("bounded", "halfline", "[0,1)", "[2,1)"),
+    ("sets", "lattice2", "{zero}", "{}"),
+])
+def test_empty_input_set_is_a_usage_error(runner, tmp_path, command, kind,
+                                          good, empty):
+    f = tmp_path / "sets.txt"
+    f.write_text(f"# comment\n{good}\n{empty}\n")
+    res = runner.invoke(main, [command, kind, "--input", str(f)])
+    assert res.exit_code == 2, res.output
+    assert "sets.txt:3: set is empty" in res.output
+    assert not isinstance(res.exception, ValueError)
 
 
 def test_audit_requires_input_and_reports(runner, tmp_path):

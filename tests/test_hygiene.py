@@ -78,7 +78,8 @@ def test_reachability_checker_sees_callers():
 # ``topology`` and ``scalars`` still hold functions only tests reach, and
 # ``cli``'s commands are reached only through click's decorators
 @pytest.mark.parametrize("module", ["sets.py", "core.py", "outcome.py",
-                                    "setlaws.py"])
+                                    "setlaws.py", "_backend.py",
+                                    "instances.py", "setexpr.py"])
 def test_every_sets_function_is_reached_from_the_library(module):
     others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
               if p.name != module]
