@@ -6,27 +6,59 @@ Refuted (with a witness that re-evaluates to a violation) or Unfalsified
 """
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 PROVEN = "Proven"
 REFUTED = "Refuted"
 UNFALSIFIED = "Unfalsified"
 
 
-@dataclass
 class CheckOutcome:
-    verdict: str
-    witness: Optional[dict] = None
-    samples_tried: int = 0
-    seed: int = 0
-    detail: str = ""
+    """One check's verdict, its witness (a dict, required when Refuted),
+    the number of samples tried, the seed and a ``detail`` sentence.
 
-    def __post_init__(self):
-        if self.verdict not in (PROVEN, REFUTED, UNFALSIFIED):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == REFUTED and self.witness is None:
+    ``witness`` and ``detail`` may each be given as a zero-argument
+    function instead of a value.  It runs once, on the first read of the
+    attribute, and its result replaces it; a caller that reads only
+    ``verdict``, ``proven`` or ``refuted`` never runs it.  A Refuted
+    witness function that returns None raises ValueError when read.
+    Equality, ``repr`` and ``to_dict`` read both, so they match the
+    outcome built from the values.
+    """
+
+    __slots__ = ("verdict", "_witness", "samples_tried", "seed", "_detail")
+    __hash__ = None
+
+    def __init__(self, verdict: str,
+                 witness: Union[None, dict, Callable[[], dict]] = None,
+                 samples_tried: int = 0, seed: int = 0,
+                 detail: Union[str, Callable[[], str]] = ""):
+        if verdict not in (PROVEN, REFUTED, UNFALSIFIED):
+            raise ValueError(f"bad verdict {verdict!r}")
+        if verdict == REFUTED and witness is None:
             raise ValueError("Refuted outcome requires a witness")
+        self.verdict = verdict
+        self._witness = witness
+        self.samples_tried = samples_tried
+        self.seed = seed
+        self._detail = detail
+
+    @property
+    def witness(self) -> Optional[dict]:
+        w = self._witness
+        if callable(w):
+            w = w()
+            if w is None and self.verdict == REFUTED:
+                raise ValueError("Refuted outcome requires a witness")
+            self._witness = w
+        return w
+
+    @property
+    def detail(self) -> str:
+        d = self._detail
+        if callable(d):
+            d = self._detail = d()
+        return d
 
     @property
     def refuted(self) -> bool:
@@ -35,6 +67,21 @@ class CheckOutcome:
     @property
     def proven(self) -> bool:
         return self.verdict == PROVEN
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.witness, self.samples_tried, self.seed,
+                self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"CheckOutcome(verdict={self.verdict!r}, "
+                f"witness={self.witness!r}, "
+                f"samples_tried={self.samples_tried!r}, "
+                f"seed={self.seed!r}, detail={self.detail!r})")
 
     def to_dict(self) -> dict:
         d = {"verdict": self.verdict, "samplesTried": self.samples_tried,
@@ -46,12 +93,14 @@ class CheckOutcome:
         return d
 
 
-def proven(detail: str = "", samples: int = 0, seed: int = 0) -> CheckOutcome:
+def proven(detail: Union[str, Callable[[], str]] = "", samples: int = 0,
+           seed: int = 0) -> CheckOutcome:
     return CheckOutcome(PROVEN, None, samples, seed, detail)
 
 
-def refuted(witness: dict, samples: int = 0, seed: int = 0,
-            detail: str = "") -> CheckOutcome:
+def refuted(witness: Union[dict, Callable[[], dict]], samples: int = 0,
+            seed: int = 0,
+            detail: Union[str, Callable[[], str]] = "") -> CheckOutcome:
     return CheckOutcome(REFUTED, witness, samples, seed, detail)
 
 

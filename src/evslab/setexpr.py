@@ -58,8 +58,10 @@ class _Cursor:
             raise SetExprError("expected a rational p/q", self.pos)
         start = self.pos
         self.pos = m.end()
-        value = rat_parse(m.group())
-        return value, start
+        try:
+            return rat_parse(m.group()), start
+        except ZeroDivisionError:
+            raise SetExprError("zero denominator", start) from None
 
     def done(self):
         self.skip_ws()

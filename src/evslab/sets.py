@@ -11,6 +11,21 @@ absorbing are decided exactly on the exact carriers and falsified by
 sampling on predicate sets.  Only interval unions carry a set algebra
 (intersection, union, Minkowski sum, translation, up/down images).
 
+An ``IntervalUnion`` is kept canonical: its components are nonempty,
+sorted by left end, pairwise disjoint and never touching in a way that
+would merge them, and every endpoint is >= 0.  ``interval_union`` builds
+that form from any list of pieces, and every ``iu_*`` operation returns
+it.  The operations rely on it in their inputs: ``iu_intersect``,
+``iu_union`` and ``iu_subset`` are single sorted merges,
+``iu_scale`` (by t > 0) and ``iu_translate`` map each component
+through an order isomorphism of the line, which keeps the form, and
+``contains_zero`` and ``sup`` read only the first and the last
+component.
+
+The exact deciders return their ``detail`` sentence and their witness
+as functions (see ``outcome.CheckOutcome``), so a caller that reads
+only the verdict pays for no rendering.
+
 The module functions ``set_member``, ``set_with_point``, ``scale_set``,
 ``is_balanced`` and ``is_absorbing`` (and ``topology.is_bounded_set``)
 look the operation up on the carrier and raise TypeError where it has
@@ -103,7 +118,9 @@ class IntervalUnion:
         return last.hi, last.hi_closed
 
     def contains_zero(self) -> bool:
-        return self.member(ZERO)
+        # endpoints are >= 0, so only the first component can hold 0
+        comps = self.components
+        return bool(comps) and comps[0].lo == 0 and comps[0].lo_closed
 
     def render(self) -> str:
         if not self.components:
@@ -124,33 +141,34 @@ class IntervalUnion:
             return proven("single interval anchored at 0 (star-shaped)")
         # a scaling that lands in a gap (or at 0 when 0 is missing)
         if not self.contains_zero():
-            x = comps[0].rep_point()
-            return refuted({"x": rat_str(x), "alpha": "0",
-                            "escape": "0", "_raw": (x, ZERO)},
-                           detail="0.x = theta is outside A")
+            def to_zero():
+                x = comps[0].rep_point()
+                return {"x": rat_str(x), "alpha": "0", "escape": "0",
+                        "_raw": (x, ZERO)}
+            return refuted(to_zero, detail="0.x = theta is outside A")
         # 0 in A, so more than one component: scale a later point into
         # the gap
-        gap = _first_gap(self)
-        x = comps[1].rep_point()
-        t = gap / x
-        return refuted({"x": rat_str(x), "alpha": rat_str(t),
-                        "escape": rat_str(gap), "_raw": (x, t)},
-                       detail="scaling by |alpha|<1 leaves A")
+        def into_gap():
+            gap = _first_gap(self)
+            x = comps[1].rep_point()
+            t = gap / x
+            return {"x": rat_str(x), "alpha": rat_str(t),
+                    "escape": rat_str(gap), "_raw": (x, t)}
+        return refuted(into_gap, detail="scaling by |alpha|<1 leaves A")
 
     def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
         if not self.is_empty() and self.contains_zero():
             c0 = self.components[0]
             if c0.hi is INF or c0.hi > 0:
-                return proven(
-                    f"contains the nondegenerate 0-component {c0.render()}")
+                return proven(lambda: "contains the nondegenerate "
+                                      f"0-component {c0.render()}")
             # 0-component is the degenerate {0}
             g = self.components[1].lo if len(self.components) > 1 else ONE
-            return refuted({"x": "1", "escape_below": rat_str(g),
-                            "_raw": (ONE, g)},
+            return refuted(lambda: {"x": "1", "escape_below": rat_str(g),
+                                    "_raw": (ONE, g)},
                            detail="any mu in (0, escape_below) sends x=1 "
                                   "outside A, so no alpha > 0 works")
-        x = ONE
-        return refuted({"x": "1", "alpha": "0", "_raw": (x, ZERO)},
+        return refuted({"x": "1", "alpha": "0", "_raw": (ONE, ZERO)},
                        detail="theta = 0.x is outside A")
 
     def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
@@ -162,14 +180,14 @@ class IntervalUnion:
             if not iu_subset(
                     self, IntervalUnion((Interval(ZERO, True, bound, False),))):
                 raise AssertionError("set escaped [0, sup + 1)")
-            return proven(f"contained in [0,{rat_str(bound)}) = "
-                          f"{rat_str(bound)}.[0,1)", seed=seed)
+            return proven(lambda: f"contained in [0,{rat_str(bound)}) = "
+                                  f"{rat_str(bound)}.[0,1)", seed=seed)
         last = self.components[-1]
         base = last.lo if last.lo_closed else last.lo + 1
         return refuted(
-            {"x_n": f"{rat_str(base)} + n", "lambda_n": "1/n",
-             "limit": "lambda_n.x_n -> 1, never below 1/2",
-             "_raw_base": base},
+            lambda: {"x_n": f"{rat_str(base)} + n", "lambda_n": "1/n",
+                     "limit": "lambda_n.x_n -> 1, never below 1/2",
+                     "_raw_base": base},
             seed=seed,
             detail="unbounded tail: the sequence x_n = base + n with "
                    "lambda_n = 1/n keeps lambda_n.x_n >= 1")
@@ -188,23 +206,37 @@ EMPTY_IU = IntervalUnion(())
 
 def interval_union(intervals: Sequence[Interval]) -> IntervalUnion:
     """Canonicalize: drop empties, sort, merge overlapping/adjacent."""
-    pieces = [c for c in intervals if not c.is_empty()]
+    pieces = [c for c in intervals
+              if c.hi is INF or c.lo < c.hi
+              or (c.lo == c.hi and c.lo_closed and c.hi_closed)]
     if not pieces:
         return EMPTY_IU
-    # two stable sorts: by lo, closed left ends first among equal lo
-    pieces.sort(key=attrgetter("lo_closed"), reverse=True)
-    pieces.sort(key=attrgetter("lo"))
-    if pieces[0].lo < 0:
-        raise ValueError(f"negative endpoint {rat_str(pieces[0].lo)}")
-    merged = [pieces[0]]
-    for c in pieces[1:]:
+    if len(pieces) > 1:
+        # two stable sorts: by lo, closed left ends first among equal lo
+        pieces.sort(key=attrgetter("lo_closed"), reverse=True)
+        pieces.sort(key=attrgetter("lo"))
+    _require_nonnegative(pieces[0].lo)
+    merged = []
+    for c in pieces:
+        _push_merged(merged, c)
+    return IntervalUnion(tuple(merged))
+
+
+def _require_nonnegative(lo):
+    if lo < 0:
+        raise ValueError(f"negative endpoint {rat_str(lo)}")
+
+
+def _push_merged(merged: list, c: Interval):
+    """Append ``c``, which starts no earlier than the last component of
+    ``merged``, merging the two when they overlap or touch."""
+    if merged:
         p = merged[-1]
         if p.hi is INF or c.lo < p.hi or (
                 c.lo == p.hi and (p.hi_closed or c.lo_closed)):
             merged[-1] = Interval(p.lo, p.lo_closed, *_max_hi(p, c))
-        else:
-            merged.append(c)
-    return IntervalUnion(tuple(merged))
+            return
+    merged.append(c)
 
 
 def _max_hi(a: Interval, b: Interval):
@@ -260,7 +292,23 @@ def iu_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 
 
 def iu_union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    return interval_union(list(a.components) + list(b.components))
+    """Exact a | b of canonical unions by one sorted merge: the
+    components of both are taken in order of their left ends (closed
+    before open at a tie) and each is merged into the last one kept."""
+    ac, bc = a.components, b.components
+    out = []
+    i = j = 0
+    while i < len(ac) and j < len(bc):
+        c, d = ac[i], bc[j]
+        if c.lo < d.lo or (c.lo == d.lo and c.lo_closed):
+            _push_merged(out, c)
+            i += 1
+        else:
+            _push_merged(out, d)
+            j += 1
+    for c in ac[i:] + bc[j:]:
+        _push_merged(out, c)
+    return IntervalUnion(tuple(out))
 
 
 def iu_subset(a: IntervalUnion, b: IntervalUnion) -> bool:
@@ -291,19 +339,23 @@ def iu_scale(t, a: IntervalUnion) -> IntervalUnion:
         raise ValueError("scale factor must be >= 0 (use the modulus)")
     if t == 0:
         return iu((0, 0, True, True)) if not a.is_empty() else EMPTY_IU
-    return interval_union([
+    # r -> t.r is an order isomorphism of [0,oo): the image is canonical
+    return IntervalUnion(tuple(
         Interval(c.lo * t, c.lo_closed,
                  INF if c.hi is INF else c.hi * t, c.hi_closed)
-        for c in a.components])
+        for c in a.components))
 
 
 def iu_translate(x, a: IntervalUnion) -> IntervalUnion:
-    """Exact image under r -> x + r."""
+    """Exact image under r -> x + r; ValueError when it leaves [0,oo)."""
     x = rat(x)
-    return interval_union([
+    if a.components:
+        _require_nonnegative(a.components[0].lo + x)
+    # r -> x + r is an order isomorphism: the image is canonical
+    return IntervalUnion(tuple(
         Interval(c.lo + x, c.lo_closed,
                  INF if c.hi is INF else c.hi + x, c.hi_closed)
-        for c in a.components])
+        for c in a.components))
 
 
 def iu_minkowski(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -414,7 +466,7 @@ class AnchoredBoxUnion:
             a_pos = b.a is INF or b.a > 0
             b_pos = b.b is INF or b.b > 0
             if a_pos and b_pos:
-                return proven(f"contains the origin box {b.render()}")
+                return proven(lambda: f"contains the origin box {b.render()}")
         if self.is_empty():
             return refuted({"x": "(1, 1)", "alpha": "0",
                             "_raw": ((ONE, ONE),)},
@@ -496,15 +548,15 @@ class LatticeFamily:
             return proven(
                 "alpha.Y = Y for alpha != 0 and 0.Y = zero is in A")
         y = _some_member(self)
-        return refuted({"x": _render_subspace(y), "alpha": "0",
-                        "escape": "zero", "_raw": (y, ZERO)},
+        return refuted(lambda: {"x": _render_subspace(y), "alpha": "0",
+                                "escape": "zero", "_raw": (y, ZERO)},
                        detail="0.Y = zero subspace is outside A")
 
     def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
         if self.is_all():
             return proven("the family is the whole lattice")
         y = some_missing_subspace(self)
-        return refuted({"x": _render_subspace(y), "_raw": (y,)},
+        return refuted(lambda: {"x": _render_subspace(y), "_raw": (y,)},
                        detail="mu.Y = Y stays outside A for every mu != 0")
 
 
@@ -654,8 +706,8 @@ class ProductSlice:
                 x = (r, a)
                 # alpha = 0 sends x to theta; theta may be missing
                 if not self.member((ZERO, tuple(sc.S_ZERO for _ in a))):
-                    return refuted({"x": f"({rat_str(r)}, ...)",
-                                    "alpha": "0", "_raw": (x, ZERO)},
+                    return refuted(lambda: {"x": f"({rat_str(r)}, ...)",
+                                            "alpha": "0", "_raw": (x, ZERO)},
                                    detail="0.x = theta is outside A")
         return unfalsified(len(self.pieces), 0,
                            "no exact criterion; no violation found on "
@@ -668,8 +720,8 @@ class ProductSlice:
                 c0.hi is INF or c0.hi > 0)
             if has_radial_nbhd and reg.kind == BALL and reg.radius > 0:
                 return proven(
-                    f"contains [0,s) x ball(t) with s,t > 0: "
-                    f"{iupart.render()} x {reg.render()}")
+                    lambda: f"contains [0,s) x ball(t) with s,t > 0: "
+                            f"{iupart.render()} x {reg.render()}")
         if E is not None:
             return PredicateSet(self.member, lambda s, c: E.sample(s, c),
                                 "slice").absorbing(E, budget, seed)
@@ -686,8 +738,9 @@ class ProductSlice:
                 base = last.lo if last.lo_closed else last.lo + 1
                 vec = reg.vectors[0] if reg.kind == FINITE_VECTORS else None
                 return refuted(
-                    {"x_n": f"({rat_str(base)} + n, v)", "lambda_n": "1/n",
-                     "_raw_base": base, "_raw_vec": vec},
+                    lambda: {"x_n": f"({rat_str(base)} + n, v)",
+                             "lambda_n": "1/n", "_raw_base": base,
+                             "_raw_vec": vec},
                     seed=seed,
                     detail="unbounded radial part: lambda_n.x_n keeps "
                            "radial coordinate >= 1")
@@ -700,8 +753,8 @@ class ProductSlice:
                                     default=ZERO) + 1)
         bound = max(sups, default=ZERO) + 1
         return proven(
-            f"contained in {rat_str(bound)}.([0,1) x ball(1)) up to radius "
-            f"rescaling", seed=seed)
+            lambda: f"contained in {rat_str(bound)}.([0,1) x ball(1)) up to "
+                    f"radius rescaling", seed=seed)
 
 
 def product_slice(*pieces) -> ProductSlice:

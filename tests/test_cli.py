@@ -129,6 +129,20 @@ def test_empty_input_set_is_a_usage_error(runner, tmp_path, command, kind,
     assert not isinstance(res.exception, ValueError)
 
 
+@pytest.mark.parametrize("command", [
+    ["sets", "halfline"], ["bounded", "halfline"], ["audit"],
+    ["localbase", "halfline"],
+])
+def test_zero_denominator_in_input_is_a_usage_error(runner, tmp_path,
+                                                    command):
+    f = tmp_path / "sets.txt"
+    f.write_text("[0,1)\n[1/0,2)\n")
+    res = runner.invoke(main, command + ["--input", str(f)])
+    assert res.exit_code == 2, res.output
+    assert "sets.txt:2: zero denominator" in res.output
+    assert not isinstance(res.exception, ZeroDivisionError)
+
+
 def test_audit_requires_input_and_reports(runner, tmp_path):
     f = tmp_path / "gens.txt"
     f.write_text("[1,2)\n[0,1]\n")

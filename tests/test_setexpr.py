@@ -69,5 +69,7 @@ def test_domain_errors():
         parse_set_expression("[1,2)x[0,3)", "dict2")  # box not anchored
     with pytest.raises(SetExprError):
         parse_set_expression("[0,1) [0,2)")  # trailing input
+    with pytest.raises(SetExprError, match="zero denominator"):
+        parse_set_expression("[1/0,2)")  # no rational p/0
     with pytest.raises(ValueError):
         parse_set_expression("[0,1)", "cone:1")  # no grammar for the cone

@@ -95,9 +95,12 @@ def _grid(a, b):
     return ends + mids + [ends[-1] + 1]
 
 
+_small_rats = hst.builds(Rat, hst.integers(0, 12), hst.integers(1, 6))
+
+
 @settings(max_examples=400, deadline=None)
-@given(_unions(), _unions())
-def test_kernel_matches_pointwise_membership(a, b):
+@given(_unions(), _unions(), _small_rats.filter(bool), _small_rats)
+def test_kernel_matches_pointwise_membership(a, b, t, shift):
     meet, join = iu_intersect(a, b), iu_union(a, b)
     grid = _grid(a, b)
     for x in grid:
@@ -107,6 +110,23 @@ def test_kernel_matches_pointwise_membership(a, b):
         assert interval_union(list(out.components)) == out
     assert iu_subset(a, b) == all(b.member(x) for x in grid if a.member(x))
     assert iu_subset(a, a) and iu_subset(b, b)
+    # images under y -> t.y (t > 0 and t = 0) and y -> shift + y
+    scaled, collapsed = iu_scale(t, a), iu_scale(rat(0), a)
+    moved = iu_translate(shift, a)
+    for y in _grid(scaled, moved):
+        assert scaled.member(y) == a.member(y / t)
+        assert collapsed.member(y) == (y == 0 and not a.is_empty())
+        assert moved.member(y) == a.member(y - shift)
+    for out in (scaled, collapsed, moved):
+        assert interval_union(list(out.components)) == out
+    for u in (a, b, meet, join, scaled, collapsed, moved):
+        assert u.contains_zero() == u.member(rat(0))
+    if not a.is_empty():
+        assert iu_translate(-a.components[0].lo, a).contains_zero() == \
+            a.components[0].lo_closed
+        # a shift that drives the first endpoint below 0 leaves [0,oo)
+        with pytest.raises(ValueError):
+            iu_translate(-a.components[0].lo - shift - 1, a)
 
 
 def test_scale_translate_minkowski():
