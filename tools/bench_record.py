@@ -1,0 +1,98 @@
+"""Collect perfbench result records into one committed BENCH file.
+
+    python3 tools/bench_record.py --out BENCH_1.json --side change \
+        [--tier1-s 62.7] result-laws-seed7-trace0.json ...
+
+``perfbench/run.py`` writes one record per run to
+``.perfbench_out/result-<workload>-seed<n>-trace<t>.json``; the next run
+of the same workload, seed and trace overwrites it, so copy each record
+away before the next run and pass the copies here.
+
+Each call adds one side (a named version of the code, such as
+``parent`` or ``change``) to ``--out``, replacing a side of that name
+and keeping the others.  A side records the backend, Python version,
+commit and source digest that all of its records must share, the Tier-1
+wall time when ``--tier1-s`` is given, and, for each workload, seed and
+trace setting, the metrics of every run in input order with their
+quartiles, and the operations attempted and failed.  Standard library
+only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+# fields every record of one side must agree on
+IDENTITY = ("backend", "python", "commit", "source_sha256", "nproc")
+
+
+def _quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def collect(paths):
+    """The side entry for the records at ``paths``; ValueError when they
+    do not share one identity."""
+    identity, groups = None, {}
+    for path in paths:
+        with open(path) as fh:
+            rec = json.load(fh)
+        env = rec["environment"]
+        ident = {k: env[k] for k in IDENTITY}
+        if identity is None:
+            identity = ident
+        elif ident != identity:
+            raise ValueError(f"{path}: {ident} differs from {identity}")
+        key = (env["workload"], env["seed"], env["trace"])
+        g = groups.setdefault(key, {
+            "workload": env["workload"], "seed": env["seed"],
+            "trace": env["trace"], "seconds": env["seconds"],
+            "budget": env["budget"], "runs": 0, "attempted": 0,
+            "failed": 0, "metrics": {}})
+        g["runs"] += 1
+        g["attempted"] += rec["attempted"]
+        g["failed"] += rec["failed"]
+        for name, m in rec["metrics"].items():
+            g["metrics"].setdefault(
+                name, {"unit": m["unit"], "values": []})["values"].append(
+                    m["value"])
+    if identity is None:
+        raise ValueError("no result records given")
+    for g in groups.values():
+        for m in g["metrics"].values():
+            m["q1"], m["median"], m["q3"] = _quartiles(m["values"])
+    return dict(identity, groups=[groups[k] for k in sorted(groups)])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--side", required=True)
+    ap.add_argument("--tier1-s", type=float, default=None,
+                    help="Tier-1 test suite wall time of this side, in s")
+    ap.add_argument("results", nargs="+")
+    args = ap.parse_args(argv)
+    try:
+        side = collect(args.results)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 2
+    if args.tier1_s is not None:
+        side["tier1_wall_s"] = args.tier1_s
+    doc = {"sides": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["sides"][args.side] = side
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
