@@ -108,6 +108,11 @@ def unfalsified(samples: int, seed: int, detail: str = "") -> CheckOutcome:
     return CheckOutcome(UNFALSIFIED, None, samples, seed, detail)
 
 
+# partner-set cap for the pairwise laws: keeps a driver linear in its
+# corpus size while every generated set still appears on the outer side
+PAIR_CAP = 40
+
+
 def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
               witness: Callable[..., dict], detail: str, seed: int,
               proven_detail: Optional[str] = None) -> CheckOutcome:

@@ -20,8 +20,8 @@ from . import sets as st
 from ._backend import ZERO, Rat, rat
 from .core import EvsDescriptor
 from .instances import OrderIso
-from .outcome import (CheckOutcome, check_law, proven, refuted, rendered,
-                      subseed, unfalsified)
+from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
+                      rendered, subseed, unfalsified)
 
 ABSORBING_LAW_IDS = ("absorbing.i", "absorbing.ii", "absorbing.iii",
                      "absorbing.iv", "absorbing.v")
@@ -30,15 +30,11 @@ BALANCED_LAW_IDS = ("balanced.i", "balanced.ii", "balanced.iii",
 
 _CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
 
-# partner-set cap for the pairwise laws: keeps the drivers linear in the
-# corpus size while every generated set still appears on the outer side
-_PAIR_CAP = 40
-
 
 def _require_interval_support(E: EvsDescriptor):
     if "IntervalUnion" not in E.exact_sets:
         raise ValueError(
-            f"closure-law driver needs IntervalUnion support, "
+            f"law driver needs IntervalUnion support, "
             f"{E.name} has {E.exact_sets}")
 
 
@@ -62,8 +58,8 @@ def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
     absorbing = _random_corpus(n, subseed(seed, "abs:gen"),
                                lambda A: st.is_absorbing(A).proven)
     anything = _random_corpus(n, subseed(seed, "abs:any"), lambda A: True)
-    partners = absorbing[:_PAIR_CAP]
-    extras = anything[:_PAIR_CAP]
+    partners = absorbing[:PAIR_CAP]
+    extras = anything[:PAIR_CAP]
     lams = [l for l in sc.sample_scalars(rat(3), 8, subseed(seed, "abs:lam"),
                                          sc.PYTHAGOREAN_ONLY)
             if not l.is_zero()]
@@ -110,7 +106,7 @@ def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
     n = max(4, budget // 10)
     balanced = _random_corpus(n, subseed(seed, "bal:gen"),
                               lambda A: st.is_balanced(A).proven)
-    partners = balanced[:_PAIR_CAP]
+    partners = balanced[:PAIR_CAP]
     lams = sc.sample_scalars(rat(4), 8, subseed(seed, "bal:lam"),
                              sc.PYTHAGOREAN_ONLY)
     law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)

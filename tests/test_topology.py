@@ -10,7 +10,8 @@ from evslab import scalars as sc
 from evslab import sets as st
 from evslab import topology as tp
 from evslab._backend import Rat, rat
-from evslab.instances import MORPHISMS, half_line
+from evslab.instances import MORPHISMS, half_line, make_instance
+from evslab.outcome import PAIR_CAP
 from evslab.setexpr import parse_set_expression
 from evslab.sets import INF, iu
 from evslab.topology import (BOUNDED_LAW_IDS, LOCAL_BASE_CONDITION_IDS,
@@ -171,6 +172,48 @@ def test_bounded_laws_all_proven():
     out = check_bounded_laws(half_line(), 300, 42)
     assert set(out) == set(BOUNDED_LAW_IDS)
     assert all(o.proven for o in out.values())
+
+
+def test_bounded_laws_need_interval_support():
+    with pytest.raises(ValueError, match="IntervalUnion"):
+        check_bounded_laws(make_instance("dict2"), 200, 7)
+
+
+def test_pairwise_bounded_laws_grow_linearly():
+    pairwise = ("bounded.sum", "bounded.subset")
+    pairs = {}
+    for budget in (3000, 10_000):
+        out = check_bounded_laws(half_line(), budget, 7)
+        outer = budget // 10  # the corpus size; the outer sets are a subset
+        for law_id in pairwise:
+            assert out[law_id].proven, law_id
+            assert out[law_id].samples_tried <= PAIR_CAP * outer, law_id
+        pairs[budget] = sum(out[k].samples_tried for k in pairwise)
+    assert pairs[10_000] < 3.5 * pairs[3000]
+
+
+def test_sup_lemma_refutes_a_sum_that_drops_a_component(monkeypatch):
+    # the truncated sum is still bounded: only the sup lemma sees it
+    real = st.iu_minkowski
+
+    def drop_last(a, b):
+        C = real(a, b)
+        if len(C.components) < 2:
+            return C
+        return st.IntervalUnion(C.components[:-1])
+
+    monkeypatch.setattr(st, "iu_minkowski", drop_last)
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.sum"]
+    A = "[0,5/7) U (5/2,27/10]"
+    assert out.refuted
+    assert (out.samples_tried, out.witness) == (1, {"A": A, "B": A})
+
+
+def test_sup_lemma_refutes_a_scaling_that_ignores_the_modulus(monkeypatch):
+    monkeypatch.setattr(st, "scale_set", lambda lam, A: A)
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.scale"]
+    assert out.refuted
+    assert out.detail == "scaling of a bounded set not bounded"
 
 
 # ------------------------------------------------------------- local base
