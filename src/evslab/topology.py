@@ -245,10 +245,10 @@ def check_bounded_laws(E, budget: int, seed: int) -> dict:
             proven_detail="sup of a finite set is its largest point; "
                           "re-checked on every case"),
         "bounded.compact": law(
-            ((K,) for K in compacts),
-            lambda K: not is_compact(K) or (
-                is_bounded_set(K).proven and K.member(_sup(K))
-                and K.sup() == (K.components[-1].hi, True)),
+            compacts,
+            lambda K, top: not is_compact(K) or (
+                is_bounded_set(K).proven and _sup(K) == top
+                and K.member(top)),
             rendered("set"), "compact set not bounded",
             proven_detail="sup of a compact set is its last endpoint, "
                           "attained; re-checked on every case"),
@@ -283,10 +283,12 @@ def is_compact(A: IntervalUnion) -> bool:
                for c in A.components)
 
 
-def _make_compact(A: IntervalUnion) -> IntervalUnion:
-    return interval_union([
-        Interval(c.lo, True, c.lo + 3 if c.hi is INF else c.hi, True)
-        for c in A.components])
+def _make_compact(A: IntervalUnion) -> Tuple[IntervalUnion, Rat]:
+    """The union of A's components made closed and bounded, and the
+    largest right end among them, read before canonicalization."""
+    pieces = [Interval(c.lo, True, c.lo + 3 if c.hi is INF else c.hi, True)
+              for c in A.components]
+    return interval_union(pieces), max(c.hi for c in pieces)
 
 
 # ------------------------------------------------------------- local base

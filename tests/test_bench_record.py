@@ -34,10 +34,12 @@ def _perfbench_digest(repo, monkeypatch) -> str:
 
 
 @pytest.fixture
-def repo(tmp_path, monkeypatch):
-    """A git repository with two commits of a small ``src/evslab``; maps
-    "c0" and "c1" to each commit's (sha, digest)."""
+def commits(tmp_path, monkeypatch):
+    """A git repository with two commits of a small ``src/evslab``, made
+    the collector's repository; maps "c0" and "c1" to each commit's
+    (sha, digest)."""
     root = tmp_path / "repo"
+    monkeypatch.setattr(bench_record, "REPO", str(root))
     pkg = root / "src" / "evslab"
     pkg.mkdir(parents=True)
     _git(root, "init", "-q")
@@ -50,7 +52,7 @@ def repo(tmp_path, monkeypatch):
         _git(root, "commit", "-q", "-m", tag)
         commits[tag] = (_git(root, "rev-parse", "HEAD"),
                         _perfbench_digest(root, monkeypatch))
-    return root, commits
+    return commits
 
 
 def _record(tmp_path, name, workload, seed, wall, ident, failed=0):
@@ -65,19 +67,17 @@ def _record(tmp_path, name, workload, seed, wall, ident, failed=0):
     return str(path)
 
 
-def test_sides_group_runs_and_keep_each_other(tmp_path, repo):
-    root, commits = repo
+def test_sides_group_runs_and_keep_each_other(tmp_path, commits):
     out = tmp_path / "BENCH.json"
     runs = [_record(tmp_path, f"r{k}.json", "laws", 7, w, commits["c0"])
             for k, w in enumerate([2.0, 1.0, 4.0, 3.0, 5.0])]
     runs.append(_record(tmp_path, "a.json", "axioms", 13, 0.5, commits["c0"],
                         failed=1))
     assert bench_record.main(["--out", str(out), "--side", "parent",
-                              "--repo", str(root), "--tier1-s", "60",
-                              *runs]) == 0
+                              "--tier1-s", "60", *runs]) == 0
     other = _record(tmp_path, "c.json", "laws", 7, 1.5, commits["c1"])
     assert bench_record.main(["--out", str(out), "--side", "change",
-                              "--repo", str(root), other]) == 0
+                              other]) == 0
     doc = json.loads(out.read_text())
     parent, change = doc["sides"]["parent"], doc["sides"]["change"]
     assert (parent["commit"], parent["tier1_wall_s"]) == \
@@ -93,34 +93,29 @@ def test_sides_group_runs_and_keep_each_other(tmp_path, repo):
     assert "tier1_wall_s" not in change
 
 
-def test_records_of_two_commits_are_not_one_side(tmp_path, repo, capsys):
-    root, commits = repo
+def test_records_of_two_commits_are_not_one_side(tmp_path, commits, capsys):
     runs = [_record(tmp_path, "a.json", "laws", 7, 1.0, commits["c0"]),
             _record(tmp_path, "b.json", "laws", 7, 1.0, commits["c1"])]
     out = tmp_path / "BENCH.json"
-    assert bench_record.main(["--out", str(out), "--side", "x",
-                              "--repo", str(root), *runs]) == 2
+    assert bench_record.main(["--out", str(out), "--side", "x", *runs]) == 2
     assert "differs" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_digest_of_another_tree_is_refused(tmp_path, repo, capsys):
+def test_digest_of_another_tree_is_refused(tmp_path, commits, capsys):
     # a run on an uncommitted tree records HEAD with the tree's digest
-    root, commits = repo
     dirty = (commits["c0"][0], commits["c1"][1])
     out = tmp_path / "BENCH.json"
     for ident in (dirty, ("unavailable", commits["c0"][1])):
         run = _record(tmp_path, "a.json", "laws", 7, 1.0, ident)
-        assert bench_record.main(["--out", str(out), "--side", "x",
-                                  "--repo", str(root), run]) == 2
+        assert bench_record.main(["--out", str(out), "--side", "x", run]) == 2
     err = capsys.readouterr().err
     assert f"is not the digest {commits['c0'][1]}" in err
     assert "unavailable" in err
     assert not out.exists()
 
 
-def test_committed_digest_is_the_perfbench_digest(repo):
-    root, commits = repo
+def test_committed_digest_is_the_perfbench_digest(commits):
     assert commits["c0"][1] != commits["c1"][1]
     for sha, digest in commits.values():
-        assert bench_record.committed_source_digest(str(root), sha) == digest
+        assert bench_record.committed_source_digest(sha) == digest

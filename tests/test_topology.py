@@ -209,6 +209,20 @@ def test_sup_lemma_refutes_a_sum_that_drops_a_component(monkeypatch):
     assert (out.samples_tried, out.witness) == (1, {"A": A, "B": A})
 
 
+def test_compact_lemma_refutes_a_union_that_drops_a_component(monkeypatch):
+    # the truncated union is still compact: only the sup lemma sees it
+    real = tp.interval_union
+
+    def drop_last(pieces):
+        K = real(pieces)
+        return st.IntervalUnion(K.components[:-1] or K.components)
+
+    monkeypatch.setattr(tp, "interval_union", drop_last)
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.compact"]
+    assert out.refuted
+    assert out.detail == "compact set not bounded"
+
+
 def test_sup_lemma_refutes_a_scaling_that_ignores_the_modulus(monkeypatch):
     monkeypatch.setattr(st, "scale_set", lambda lam, A: A)
     out = check_bounded_laws(half_line(), 200, 7)["bounded.scale"]

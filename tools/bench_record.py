@@ -16,10 +16,9 @@ wall time when ``--tier1-s`` is given, and, for each workload, seed and
 trace setting, the metrics of every run in input order with their
 quartiles, and the operations attempted and failed.  A side whose
 source digest is not the digest of ``src/evslab/*.py`` as committed at
-its recorded commit (a run on an uncommitted tree is labelled with
-``HEAD``) is refused; ``--repo`` names the git repository to read the
-commit from, by default the one holding this file.  Standard library
-only.
+its recorded commit in the repository holding this file (a run on an
+uncommitted tree is labelled with ``HEAD``) is refused.  Standard
+library only.
 """
 
 import argparse
@@ -37,26 +36,26 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "src/evslab"
 
 
-def _git(repo, *args) -> bytes:
+def _git(*args) -> bytes:
     try:
-        return subprocess.run(["git", "-C", repo, *args], check=True,
+        return subprocess.run(["git", "-C", REPO, *args], check=True,
                               capture_output=True).stdout
     except subprocess.CalledProcessError as exc:
         raise ValueError(f"git {' '.join(args)}: "
                          f"{exc.stderr.decode().strip()}") from None
 
 
-def committed_source_digest(repo, commit) -> str:
+def committed_source_digest(commit) -> str:
     """The digest ``perfbench`` records for ``src/evslab/*.py`` (see
     ``perfbench/common._source_digest``), of the files at ``commit``."""
-    paths = _git(repo, "ls-tree", "--name-only", commit,
+    paths = _git("ls-tree", "--name-only", commit,
                  PACKAGE + "/").decode().split()
     h = hashlib.sha256()
     for path in sorted(paths, key=os.path.basename):
         name = os.path.basename(path)
         if name.endswith(".py"):
             h.update(name.encode() + b"\0"
-                     + _git(repo, "show", f"{commit}:{path}"))
+                     + _git("show", f"{commit}:{path}"))
     return h.hexdigest()[:16]
 
 
@@ -66,10 +65,10 @@ def _quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def collect(paths, repo=REPO):
+def collect(paths):
     """The side entry for the records at ``paths``; ValueError when they
     do not share one identity, or when its source digest is not that of
-    its commit in the git repository ``repo``."""
+    its commit."""
     identity, groups = None, {}
     for path in paths:
         with open(path) as fh:
@@ -95,7 +94,7 @@ def collect(paths, repo=REPO):
                     m["value"])
     if identity is None:
         raise ValueError("no result records given")
-    committed = committed_source_digest(repo, identity["commit"])
+    committed = committed_source_digest(identity["commit"])
     if identity["source_sha256"] != committed:
         raise ValueError(
             f"source digest {identity['source_sha256']} is not the digest "
@@ -111,14 +110,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
     ap.add_argument("--side", required=True)
-    ap.add_argument("--repo", default=REPO,
-                    help="git repository holding the recorded commits")
     ap.add_argument("--tier1-s", type=float, default=None,
                     help="Tier-1 test suite wall time of this side, in s")
     ap.add_argument("results", nargs="+")
     args = ap.parse_args(argv)
     try:
-        side = collect(args.results, args.repo)
+        side = collect(args.results)
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
