@@ -3,9 +3,9 @@
 Exact rational implementations of the classical ordered-structure
 instances (half line, cone and twisted products, dictionary plane,
 subspace lattice), exact deciders for absorbing/balanced/bounded/radial
-set predicates, witness constructors for the neighborhood results, and
-a seeded falsification harness for everything that is not exactly
-decidable.
+set predicates, the local-base conditions and finest-topology audit
+for the neighborhood results, and a seeded falsification harness for
+everything that is not exactly decidable.
 """
 
 from ._backend import BACKEND, Rat, rat, rat_parse, rat_str

@@ -142,11 +142,9 @@ def run_bounded(spec: str, budget: int, seed: int,
     E = _instance(spec)
     recs: List[ReportRecord] = []
     if "IntervalUnion" in E.exact_sets:
-        recs += _records_from_map(
-            "", E.name, "bounded",
-            topology.check_bounded_laws(E, budget, seed))
-        for r in recs:
-            r.check_id = r.check_id.lstrip(".")
+        recs += [ReportRecord(law_id, E.name, "bounded", outcome)
+                 for law_id, outcome in topology.check_bounded_laws(
+                     E, budget, seed).items()]
     inputs = _load_sets(input_path, E.element_kind, nonempty=True)
     for A in inputs:
         if not hasattr(A, "bounded"):

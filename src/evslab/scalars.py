@@ -48,9 +48,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def render(self) -> str:
         return render_scalar(self)
 
@@ -82,22 +79,12 @@ def modulus_leq(lam: Scalar, c) -> bool:
     return modulus_squared(lam) <= c * c
 
 
-def modulus_lt(lam: Scalar, c) -> bool:
-    if c < 0:
-        raise ValueError("modulus bound must be >= 0")
-    return modulus_squared(lam) < c * c
-
-
 def modulus(lam: Scalar):
     """Exact |lam| as a rational; raises for non-Pythagorean scalars."""
     m = lam.exact_modulus
     if m is None:
         raise ValueError(f"scalar {render_scalar(lam)} has irrational modulus")
     return m
-
-
-def is_pythagorean(lam: Scalar) -> bool:
-    return lam.exact_modulus is not None
 
 
 def render_scalar(lam: Scalar) -> str:

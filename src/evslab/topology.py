@@ -1,18 +1,16 @@
 """Neighborhood structure on the exact carriers.
 
-Witness constructors for the basic topological facts on the half line
-(balanced neighborhood extraction, halving, open decomposition, order
-separation, scalar continuity), exact boundedness with a sequence
-falsifier, the five local-base conditions for a candidate family at
-theta, the open-balanced-absorbing normal form, and the finest-topology
-audit over candidate generator families.  Everything over interval
-unions is decided exactly; every returned witness is re-verified as part
-of the construction.
+Exact boundedness with a sequence falsifier, the five local-base
+conditions for a candidate family at theta (condition (iii) builds a
+verified halving neighborhood), the open-balanced-absorbing normal form,
+and the finest-topology audit over candidate generator families.
+Everything over interval unions is decided exactly; every returned
+witness is re-verified as part of the construction.
 """
 
 import random
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import scalars as sc
 from . import sets as st
@@ -20,7 +18,7 @@ from ._backend import ONE, ZERO, Rat, rat, rat_str
 from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
                       rendered, subseed, unfalsified)
 from .sets import INF, Interval, IntervalUnion, interval_union, iu
-from .setlaws import _require_interval_support, transport_set
+from .setlaws import _require_interval_support
 
 _CORPUS_PROVEN = "exact re-decision succeeded on the whole corpus"
 
@@ -38,27 +36,11 @@ def is_usual_open(A: IntervalUnion) -> bool:
     return True
 
 
-def _zero_component(U: IntervalUnion) -> Interval:
-    if not U.member(ZERO):
-        raise ValueError("theta is not a member of the set")
-    return U.components[0]
-
-
-def balanced_nbhd_inside(U: IntervalUnion) -> IntervalUnion:
-    """The 0-component [0, delta) of a usual-open neighborhood of theta;
-    re-verified balanced and absorbing before returning."""
-    c0 = _zero_component(U)
-    W = IntervalUnion((Interval(ZERO, True, c0.hi, c0.hi_closed),))
-    if not (st.is_balanced(W).proven and st.is_absorbing(W).proven):
-        raise AssertionError("extracted 0-component failed re-verification")
-    if not st.iu_subset(W, U):
-        raise AssertionError("extracted 0-component is not inside U")
-    return W
-
-
 def halving_nbhd(U: IntervalUnion) -> IntervalUnion:
     """W with W + W inside U: half the 0-component, verified exactly."""
-    c0 = _zero_component(U)
+    if not U.member(ZERO):
+        raise ValueError("theta is not a member of the set")
+    c0 = U.components[0]
     if c0.hi is INF:
         W = iu((0, INF))
     elif c0.hi == 0:
@@ -71,106 +53,6 @@ def halving_nbhd(U: IntervalUnion) -> IntervalUnion:
     return W
 
 
-def decomposition_nbhd(G: IntervalUnion, x) -> IntervalUnion:
-    """Balanced U_x with x + U_x inside G, for usual-open G and x in G."""
-    x = rat(x)
-    if not G.member(x):
-        raise ValueError(f"{rat_str(x)} is not a member of the set")
-    comp = next(c for c in G.components if c.member(x))
-    if comp.hi is INF:
-        U = iu((0, INF))
-    else:
-        U = IntervalUnion((Interval(ZERO, True, comp.hi - x, False),))
-    if not (st.is_balanced(U).proven
-            and st.iu_subset(st.iu_translate(x, U), G)):
-        raise AssertionError("x + U_x escaped G")
-    return U
-
-
-def open_decomposition(G: IntervalUnion, seed: int = 0,
-                       count: int = 8) -> List[Tuple[object, IntervalUnion]]:
-    """Sampled points of G with verified translates x + U_x inside G.
-
-    Covers every attained left endpoint plus interior points of each
-    component; the full union equals G only in the limit, so callers
-    report the covering direction as Unfalsified.
-    """
-    if G.is_empty():
-        raise ValueError("empty set has no decomposition")
-    rng = random.Random(seed)
-    pts = []
-    for c in G.components:
-        if c.lo_closed:
-            pts.append(c.lo)
-        span = (c.hi - c.lo) if c.hi is not INF else rat(4)
-        for k in range(1, max(2, count // len(G.components)) + 1):
-            pts.append(c.lo + span * Rat(k, count + 1))
-    out = []
-    for x in pts:
-        if not G.member(x):
-            continue
-        out.append((x, decomposition_nbhd(G, x)))
-    # certify the sampled union stays inside G
-    covered = st.EMPTY_IU
-    for x, U in out:
-        covered = st.iu_union(covered, st.iu_translate(x, U))
-    if not st.iu_subset(covered, G):
-        raise AssertionError("sampled decomposition escaped G")
-    return out
-
-
-def separation_witness(x, y) -> Tuple[IntervalUnion, IntervalUnion]:
-    """U = V = [0, (x-y)/2) separating the up-set of x + U from the
-    down-set of y + V, verified by exact interval arithmetic."""
-    x, y = rat(x), rat(y)
-    if x <= y:
-        raise ValueError("separation needs x > y")
-    U = iu((0, (x - y) / 2))
-    up = st.iu_up(st.iu_translate(x, U))
-    down = st.iu_down(st.iu_translate(y, U))
-    if not st.iu_intersect(up, down).is_empty():
-        raise AssertionError("up/down translates intersect")
-    return U, U
-
-
-def scalar_continuity_witness(G: IntervalUnion, x, alpha: sc.Scalar):
-    """(epsilon, U) with the modulus disc around alpha times (x + U)
-    inside |alpha|.G, solved and re-verified exactly."""
-    x = rat(x)
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    m = sc.modulus(alpha)
-    if not G.member(x):
-        raise ValueError(f"{rat_str(x)} is not a member of the set")
-    if not is_usual_open(G):
-        raise ValueError("G must be usual-open")
-    comp = next(c for c in G.components if c.member(x))
-    a, b = comp.lo, comp.hi
-    # epsilon below m, below the slack at both component ends
-    eps_cands = [m / 2]
-    if x > 0 and not (comp.lo_closed and a == 0):
-        eps_cands.append(m * (x - a) / (2 * x))
-    if b is not INF and x > 0:
-        # strictly below the upper slack so u stays positive
-        eps_cands.append(m * (b - x) / (4 * x))
-    eps = min(eps_cands)
-    if b is INF:
-        u = ONE
-    else:
-        # (m + eps)(x + u) = m(x + b)/2 < m b
-        u = m * (x + b) / (2 * (m + eps)) - x
-    if eps <= 0 or u <= 0:
-        raise AssertionError("degenerate continuity witness")
-    U = IntervalUnion((Interval(ZERO, True, u, False),))
-    # the product set sits inside the closed modulus-range interval
-    lo = (m - eps) * x
-    hi = (m + eps) * (x + u)
-    hull = IntervalUnion((Interval(max(lo, ZERO), True, hi, True),))
-    if not st.iu_subset(hull, st.iu_scale(m, G)):
-        raise AssertionError("modulus-range product escaped |alpha|.G")
-    return eps, U
-
-
 # ------------------------------------------------------------- boundedness
 
 def is_bounded_set(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
@@ -181,15 +63,13 @@ def is_bounded_set(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
 
 def definition_bounded_grid(A: IntervalUnion, depth: int = 6) -> bool:
     """Evaluate the definition directly: for each basic neighborhood
-    [0,1/k), construct alpha and verify a mu-grid keeps mu.A inside."""
+    [0,1/k), construct alpha and verify a mu-grid keeps mu.A inside.
+    A sup of 0 or oo gets alpha = 1/(2k), so {0} passes and an unbounded
+    set fails by the same inclusion test, not by reading its sup."""
+    s, _ = A.sup()
     for k in range(1, depth + 1):
         V = iu((0, Rat(1, k)))
-        s, attained = A.sup()
-        if s is INF:
-            return False
-        if s == 0:
-            continue
-        alpha = Rat(1, 2 * k) / s
+        alpha = Rat(1, 2 * k) if s is INF or s == 0 else Rat(1, 2 * k) / s
         for mu in (alpha, alpha / 2, alpha / 3):
             if not st.iu_subset(st.iu_scale(mu, A), V):
                 return False
@@ -421,30 +301,6 @@ def _condition_v(family: Sequence[IntervalUnion], budget: int,
         "all eps; translate-based neighborhoods fail scalar continuity")
 
 
-def check_family_transport(phi, family: Sequence[IntervalUnion],
-                           budget: int, seed: int) -> CheckOutcome:
-    """Local-base condition verdicts are identical for the transported
-    family."""
-    _validate_family(family)
-    image = [transport_set(phi, U) for U in family]
-    if not all(isinstance(U, IntervalUnion) for U in image):
-        raise ValueError(
-            f"morphism {phi.name} does not transport interval unions "
-            f"onto interval unions")
-    before = check_local_base_conditions(family, budget, seed)
-    after = check_local_base_conditions(image, budget, seed)
-    tried = len(family) * len(LOCAL_BASE_CONDITION_IDS)
-    for cond in LOCAL_BASE_CONDITION_IDS:
-        if before[cond].verdict != after[cond].verdict:
-            return refuted(
-                {"condition": cond, "before": before[cond].verdict,
-                 "after": after[cond].verdict,
-                 "_raw": (before, after)},
-                tried, seed, "condition verdict changed under transport")
-    return proven("all five condition verdicts preserved under transport",
-                  tried, seed)
-
-
 # ------------------------------------------- balanced+absorbing normal form
 
 def open_balanced_absorbing_form(A: IntervalUnion) -> CheckOutcome:
@@ -464,35 +320,6 @@ def open_balanced_absorbing_form(A: IntervalUnion) -> CheckOutcome:
         return proven(f"form [0,{'inf' if a is INF else rat_str(a)}) "
                       f"confirmed on both sides", 1)
     return proven("both sides false", 1)
-
-
-def balanced_absorbing_interval_form(A: IntervalUnion) -> CheckOutcome:
-    """Amended interval characterization: balanced and absorbing holds
-    exactly when A is a single nondegenerate interval anchored closed at
-    zero.  Without the nondegeneracy amendment {0} is a counterexample;
-    see degenerate_interval_report."""
-    lhs = st.is_balanced(A).proven and st.is_absorbing(A).proven
-    rhs = (len(A.components) == 1
-           and A.components[0].lo == 0 and A.components[0].lo_closed
-           and (A.components[0].hi is INF or A.components[0].hi > 0))
-    if lhs != rhs:
-        return refuted({"set": A.render(), "lhs": str(lhs), "rhs": str(rhs)},
-                       1, 0, "amended interval characterization failed")
-    return proven("exact deciders agree with the interval form", 1)
-
-
-def degenerate_interval_report() -> dict:
-    """The documented defect of the unamended interval characterization:
-    {0} is an interval containing theta, is balanced, but absorbs
-    nothing, so the unamended equivalence fails exactly there."""
-    singleton = iu((0, 0, True, True))
-    return {
-        "set": singleton.render(),
-        "balanced": st.is_balanced(singleton).verdict,
-        "absorbing": st.is_absorbing(singleton).verdict,
-        "note": "interval containing theta that is not absorbing; the "
-                "characterization needs the positive-length amendment",
-    }
 
 
 # ----------------------------------------------------------------- audit

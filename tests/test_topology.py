@@ -6,42 +6,29 @@ from pathlib import Path
 
 import pytest
 
-from evslab import scalars as sc
 from evslab import sets as st
 from evslab import topology as tp
 from evslab._backend import Rat, rat
-from evslab.instances import MORPHISMS, half_line, make_instance
+from evslab.instances import half_line, make_instance
 from evslab.outcome import PAIR_CAP
 from evslab.setexpr import parse_set_expression
 from evslab.sets import INF, iu
 from evslab.topology import (BOUNDED_LAW_IDS, LOCAL_BASE_CONDITION_IDS,
-                             audit_generator, balanced_absorbing_interval_form,
-                             balanced_nbhd_inside, check_bounded_laws,
-                             check_family_transport,
-                             check_local_base_conditions, decomposition_nbhd,
-                             definition_bounded_grid,
-                             degenerate_interval_report, finest_topology_audit,
+                             audit_generator, check_bounded_laws,
+                             check_local_base_conditions,
+                             definition_bounded_grid, finest_topology_audit,
                              halving_nbhd, is_bounded_set, is_compact,
                              is_usual_open, open_balanced_absorbing_form,
-                             open_decomposition, scalar_continuity_witness,
-                             separation_witness, usual_base)
+                             usual_base)
 
 
-# ---------------------------------------------------- witness constructors
+# --------------------------------------------------------------- open sets
 
 def test_is_usual_open():
     assert is_usual_open(iu((0, 1)))
     assert is_usual_open(iu((1, 2, False, False), (3, INF, False, False)))
     assert not is_usual_open(iu((1, 2)))          # left-closed away from 0
     assert not is_usual_open(iu((0, 1, True, True)))  # right-closed
-
-
-def test_balanced_nbhd_inside():
-    U = iu((0, 2), (3, 4, False, False))
-    W = balanced_nbhd_inside(U)
-    assert W == iu((0, 2))
-    with pytest.raises(ValueError):
-        balanced_nbhd_inside(iu((1, 2)))
 
 
 def test_halving_nbhd():
@@ -62,54 +49,6 @@ def test_halving_nbhd_rejects_a_degenerate_zero_component():
         out = check_local_base_conditions(family, 100, 42)["iii"]
         assert out.refuted
         assert out.witness == {"U": "[0,0] U (1,2)"}
-
-
-def test_decomposition_nbhd_and_open_decomposition():
-    G = iu((0, 2), (3, 5, False, False))
-    U = decomposition_nbhd(G, rat(1))
-    assert st.iu_subset(st.iu_translate(rat(1), U), G)
-    parts = open_decomposition(G, seed=3)
-    assert parts
-    for x, Ux in parts:
-        assert G.member(x)
-        assert st.iu_subset(st.iu_translate(x, Ux), G)
-    with pytest.raises(ValueError):
-        decomposition_nbhd(G, rat(2))
-
-
-def test_separation_witness():
-    U, V = separation_witness(rat(3), rat(1))
-    assert U == iu((0, 1))
-    up = st.iu_up(st.iu_translate(rat(3), U))
-    down = st.iu_down(st.iu_translate(rat(1), V))
-    assert st.iu_intersect(up, down).is_empty()
-    with pytest.raises(ValueError):
-        separation_witness(rat(1), rat(1))
-
-
-def test_scalar_continuity_witness():
-    G = iu((0, 4))
-    eps, U = scalar_continuity_witness(G, rat(1), sc.scalar(2))
-    assert eps > 0 and not U.is_empty()
-    # re-verify the defining inclusion on a sample of the disc x interval
-    m = rat(2)
-    u_hi = U.components[0].hi
-    for dl in (-eps / 2, 0, eps / 2):
-        lam = m + dl
-        for du in (0, u_hi / 2):
-            val = lam * (rat(1) + du)
-            assert st.iu_scale(m, G).member(val)
-    with pytest.raises(ValueError):
-        scalar_continuity_witness(G, rat(1), sc.S_ZERO)
-    with pytest.raises(ValueError):
-        scalar_continuity_witness(iu((1, 2)), Rat(3, 2), sc.scalar(1))
-
-
-def test_scalar_continuity_interior_point_near_left_edge():
-    # open component (1, 2): the lower-slack branch must engage
-    G = iu((1, 2, False, False), (0, Rat(1, 2)))
-    eps, U = scalar_continuity_witness(G, Rat(3, 2), sc.scalar(1))
-    assert eps > 0 and U.components[0].hi > 0
 
 
 # ------------------------------------------------------------- boundedness
@@ -160,6 +99,21 @@ def test_definition_grid_agrees():
     for _ in range(200):
         A = st.random_interval_union(rng)
         assert definition_bounded_grid(A) == is_bounded_set(A).proven
+
+
+def test_definition_grid_evaluates_unbounded_sets(monkeypatch):
+    # a scaling that loses the unbounded components passes the grid on
+    # an unbounded set, which the sup characterization refutes
+    real = st.iu_scale
+
+    def drop_unbounded(t, A):
+        return st.IntervalUnion(tuple(c for c in real(t, A).components
+                                      if c.hi is not INF))
+
+    monkeypatch.setattr(st, "iu_scale", drop_unbounded)
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.defs-agree"]
+    assert out.refuted
+    assert out.detail == "definition grid and sup characterization disagree"
 
 
 def test_compactness_helper():
@@ -260,12 +214,6 @@ def test_local_base_rejects_bad_family():
         check_local_base_conditions([iu((1, 2))], 100, 42)
 
 
-def test_family_transport_preserves_verdicts():
-    phi = MORPHISMS["doubling"]()
-    out = check_family_transport(phi, usual_base(6), 200, 42)
-    assert out.proven
-
-
 # --------------------------------------------------------- normal forms
 
 def test_open_balanced_absorbing_form():
@@ -275,20 +223,34 @@ def test_open_balanced_absorbing_form():
     assert out.proven and "both sides false" in out.detail
 
 
+def _amended_interval_form(A):
+    """One component, anchored closed at 0 and nondegenerate."""
+    c0 = A.components[0]
+    return (len(A.components) == 1 and c0.lo == 0 and c0.lo_closed
+            and (c0.hi is INF or c0.hi > 0))
+
+
+def _balanced_and_absorbing(A):
+    return st.is_balanced(A).proven and st.is_absorbing(A).proven
+
+
 def test_interval_form_and_degenerate_report():
-    assert balanced_absorbing_interval_form(iu((0, 1))).proven
-    assert balanced_absorbing_interval_form(iu((0, 1, True, True))).proven
-    rep = degenerate_interval_report()
-    assert rep["set"] == "[0,0]"
-    assert rep["balanced"] == "Proven"
-    assert rep["absorbing"] == "Refuted"
+    assert _balanced_and_absorbing(iu((0, 1)))
+    assert _balanced_and_absorbing(iu((0, 1, True, True)))
+    # {0} is an interval containing theta, balanced, but absorbs nothing
+    singleton = iu((0, 0, True, True))
+    assert singleton.render() == "[0,0]"
+    assert st.is_balanced(singleton).verdict == "Proven"
+    assert st.is_absorbing(singleton).verdict == "Refuted"
+    assert not _amended_interval_form(singleton)
 
 
 def test_interval_form_fuzz():
     rng = random.Random(7)
     for _ in range(300):
         A = st.random_interval_union(rng)
-        assert balanced_absorbing_interval_form(A).proven
+        assert _balanced_and_absorbing(A) == _amended_interval_form(A), \
+            A.render()
 
 
 # ----------------------------------------------------------------- audit
