@@ -22,8 +22,8 @@ class CheckOutcome:
     attribute, and its result replaces it; a caller that reads only
     ``verdict``, ``proven`` or ``refuted`` never runs it.  A Refuted
     witness function that returns None raises ValueError when read.
-    Equality, ``repr`` and ``to_dict`` read both, so they match the
-    outcome built from the values.
+    Equality and ``repr`` read both, so they match the outcome built from
+    the values.
     """
 
     __slots__ = ("verdict", "_witness", "samples_tried", "seed", "_detail")
@@ -82,15 +82,6 @@ class CheckOutcome:
                 f"witness={self.witness!r}, "
                 f"samples_tried={self.samples_tried!r}, "
                 f"seed={self.seed!r}, detail={self.detail!r})")
-
-    def to_dict(self) -> dict:
-        d = {"verdict": self.verdict, "samplesTried": self.samples_tried,
-             "seed": self.seed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        if self.detail:
-            d["detail"] = self.detail
-        return d
 
 
 def proven(detail: Union[str, Callable[[], str]] = "", samples: int = 0,

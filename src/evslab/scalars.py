@@ -5,56 +5,128 @@ as a number; every ``|.|`` comparison is decided through the squared
 modulus, which is always rational.  Scalars whose modulus happens to be
 rational ("Pythagorean" scalars, e.g. (3+4i)/5) are the only ones
 admitted by instances whose action multiplies a radial coordinate by
-the modulus.  Each ``Scalar`` computes that exact modulus (or finds it
-irrational) once and caches it, because the checkers reuse one sampled
-scalar pool across their nested loops.
+the modulus.
+
+A ``Scalar`` is stored as one integer triple ``(a, b, d)`` standing for
+``(a + b*i)/d``, in canonical form: ``d > 0`` and ``gcd(a, b, d) = 1``,
+so zero is ``(0, 0, 1)``.  Two scalars are equal exactly when their
+triples are, and ``+ - *`` work on the integers and end in one
+three-argument ``gcd``; ``re`` and ``im`` are rationals built on demand.
+The integers are plain Python ints under either rational backend.
+Each ``Scalar`` computes its exact modulus (or finds it irrational) once
+and caches it in a slot, because the checkers reuse one sampled scalar
+pool across their nested loops; :func:`modulus` reads that slot directly.
 """
 
+import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 
 from ._backend import ZERO, Rat, rat, rat_parse, rat_sqrt, rat_str
 
 ANY_SCALAR = "AnyScalar"
 PYTHAGOREAN_ONLY = "PythagoreanOnly"
 
+_UNSET = object()  # modulus cache slot before the first read
 
-@dataclass(frozen=True)
+
 class Scalar:
-    """A Gaussian rational re + im*i (im = 0 in the real field)."""
+    """A Gaussian rational re + im*i (im = 0 in the real field).
 
-    re: object
-    im: object
+    ``Scalar(re, im)`` takes two rationals; equality, ``hash`` and
+    ``repr`` are those of the pair ``(re, im)``.
+    """
+
+    __slots__ = ("_a", "_b", "_d", "_modulus")
+
+    def __new__(cls, re, im):
+        p, q = int(re.denominator), int(im.denominator)
+        if p == q:
+            return _new(int(re.numerator), int(im.numerator), p)
+        # over lcm(p, q) the triple is already in lowest terms, since
+        # re and im are
+        g = math.gcd(p, q)
+        return _new(int(re.numerator) * (q // g),
+                    int(im.numerator) * (p // g), p // g * q)
+
+    def __reduce__(self):
+        # copy and pickle must rebuild through __new__, which takes the pair
+        return Scalar, (self.re, self.im)
+
+    @property
+    def re(self):
+        return Rat(self._a, self._d)
+
+    @property
+    def im(self):
+        return Rat(self._b, self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"Scalar(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d,
+                        self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d,
+                        self._b * f - other._b * d, d * f)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # skip the products whose factor is a zero imaginary part
-        if not b:
-            return Scalar(a * c, a * d if d else ZERO)
-        if not d:
-            return Scalar(a * c, b * c)
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def render(self) -> str:
         return render_scalar(self)
 
-    @cached_property
+    @property
     def exact_modulus(self):
         """|self| as a rational, or None if it is irrational; computed once."""
-        return rat_sqrt(modulus_squared(self))
+        m = self._modulus
+        if m is _UNSET:
+            m = self._modulus = rat_sqrt(modulus_squared(self))
+        return m
+
+
+_object_new = object.__new__  # bound once: a lookup on the type is slow
+
+
+def _new(a, b, d):
+    """The ``Scalar`` ``(a + b*i)/d``, already in canonical form."""
+    s = _object_new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    s._modulus = _UNSET
+    return s
+
+
+def _reduced(a, b, d):
+    """The ``Scalar`` ``(a + b*i)/d`` for any ``d > 0``."""
+    g = math.gcd(a, b, d)
+    if g == 1:
+        return _new(a, b, d)
+    return _new(a // g, b // g, d // g)
 
 
 def scalar(re, im=0) -> Scalar:
@@ -69,7 +141,8 @@ S_I = scalar(0, 1)
 
 def modulus_squared(lam: Scalar):
     """|lam|^2 = re^2 + im^2, exact."""
-    return lam.re * lam.re + lam.im * lam.im
+    a, b, d = lam._a, lam._b, lam._d
+    return Rat(a * a + b * b, d * d)
 
 
 def modulus_leq(lam: Scalar, c) -> bool:
@@ -81,7 +154,9 @@ def modulus_leq(lam: Scalar, c) -> bool:
 
 def modulus(lam: Scalar):
     """Exact |lam| as a rational; raises for non-Pythagorean scalars."""
-    m = lam.exact_modulus
+    m = lam._modulus
+    if m is _UNSET:
+        m = lam.exact_modulus
     if m is None:
         raise ValueError(f"scalar {render_scalar(lam)} has irrational modulus")
     return m
@@ -171,14 +246,16 @@ def sample_scalars(radius_bound, count: int, seed: int, mode: str = ANY_SCALAR):
                 if ms > radius_bound * radius_bound and ms > 0:
                     # shrink by a rational factor below 1/|lam|
                     shrink = radius_bound * radius_bound / (ms + 1)
-                    lam = Scalar(lam.re * shrink, lam.im * shrink)
+                    lam = scale_unit(lam, shrink)
         if modulus_leq(lam, radius_bound):
             out.append(lam)
     return out[:count]
 
 
 def scale_unit(u: Scalar, q) -> Scalar:
-    return Scalar(u.re * q, u.im * q)
+    """The scalar q*u for a rational q."""
+    n, m = int(q.numerator), int(q.denominator)
+    return _reduced(u._a * n, u._b * n, u._d * m)
 
 
 def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,

@@ -152,6 +152,22 @@ GOLDEN_AXIOMS = (Path(__file__).resolve().parent / "golden"
                  / "axioms-outcomes.jsonl")
 
 
+def _outcome_record(o, **fields) -> dict:
+    """The golden record of outcome ``o`` with ``fields``: verdict, count,
+    seed, the detail when non-empty, the public witness and the ``repr``
+    of every raw witness entry."""
+    w = o.witness or {}
+    rec = dict(fields, verdict=o.verdict, samplesTried=o.samples_tried,
+               seed=o.seed,
+               witness={k: v for k, v in w.items()
+                        if not k.startswith("_raw_")},
+               raw={k: repr(v) for k, v in w.items()
+                    if k.startswith("_raw_")})
+    if o.detail:
+        rec["detail"] = o.detail
+    return rec
+
+
 def _axiom_outcome_lines():
     """``check_axioms`` and ``check_primitive_scaling`` on the six shipped
     instances and the planted faults, at budgets 1, 50 and 500 and seeds
@@ -168,13 +184,8 @@ def _axiom_outcome_lines():
                 outcomes["primitive_scaling"] = core.check_primitive_scaling(
                     E, budget, seed)
                 for check, o in outcomes.items():
-                    w = o.witness or {}
-                    rec = dict(o.to_dict(), instance=name, budget=budget,
-                               runSeed=seed, check=check,
-                               witness={k: v for k, v in w.items()
-                                        if not k.startswith("_raw_")},
-                               raw={k: repr(v) for k, v in w.items()
-                                    if k.startswith("_raw_")})
+                    rec = _outcome_record(o, instance=name, budget=budget,
+                                          runSeed=seed, check=check)
                     lines.append(json.dumps(rec, sort_keys=True))
     return lines
 

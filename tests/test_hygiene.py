@@ -41,30 +41,58 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _names(node, skip=None) -> set:
+    """Every name, attribute and imported name used in ``node``, except
+    inside its subtree ``skip``."""
+    out, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _strings(node) -> set:
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def _unreferenced_functions(sets_source: str, other_sources) -> list:
-    """Top-level functions of a library module that nothing reaches: not
-    named in another module, nor anywhere in the module outside their
-    own body.  A decorated function counts as reached, since its
+    """Top-level functions and non-dunder methods of a library module
+    that nothing reaches: not named in another module, nor anywhere in
+    the module outside their own body.  A method is listed as
+    ``Class.name``; its name in a string constant anywhere counts as
+    reached, since ``sets.carrier_operation`` looks methods up by name.
+    A decorated top-level function counts as reached, since its
     decorator registers it (click reaches the ``cli`` commands that way).
     The ``brute_*`` reference oracles and the ``random_*`` generators
     exist for tests and benchmarks, so they are exempt."""
     tree = ast.parse(sets_source)
-
-    def names(node):
-        return {n.id if isinstance(n, ast.Name) else
-                n.attr if isinstance(n, ast.Attribute) else n.name
-                for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
-
-    elsewhere = set().union(*(names(ast.parse(s)) for s in other_sources))
-    top = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    others = [ast.parse(s) for s in other_sources]
+    elsewhere = set().union(*(_names(t) for t in others))
+    strings = set().union(*(_strings(t) for t in [tree, *others]))
+    candidates = [(fn.name, fn) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and not fn.decorator_list]
+    candidates += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)
+                   and not (fn.name.startswith("__")
+                            and fn.name.endswith("__"))
+                   and fn.name not in strings]
     out = []
-    for fn in top:
-        if fn.decorator_list or fn.name.startswith(("brute_", "random_")):
+    for label, fn in candidates:
+        if fn.name.startswith(("brute_", "random_")):
             continue
-        inside = set().union(*(names(n) for n in tree.body if n is not fn))
-        if fn.name not in inside and fn.name not in elsewhere:
-            out.append(fn.name)
+        if fn.name not in _names(tree, skip=fn) | elsewhere:
+            out.append(label)
     return out
 
 
@@ -75,6 +103,22 @@ def test_reachability_checker_sees_callers():
         == ["lonely"]
     assert _unreferenced_functions(sets_src, ["st.lonely(st.caller)\n"]) \
         == []
+
+
+def test_reachability_checker_sees_methods():
+    src = ("class C:\n"
+           "    def __eq__(self, o): return self.used() and self.prop\n"
+           "    def used(self): pass\n"
+           "    @property\n"
+           "    def prop(self): pass\n"
+           "    def lonely(self): self.lonely()\n"
+           "    def by_name(self): pass\n"
+           "    def helper(self): pass\n"
+           "def f(c): return getattr(c, 'by_name')\n")
+    assert _unreferenced_functions(src, []) == \
+        ["f", "C.lonely", "C.helper"]
+    assert _unreferenced_functions(src, ["m.f(c.helper())\n"]) == \
+        ["C.lonely"]
 
 
 def test_reachability_checker_counts_a_decorated_function_as_reached():

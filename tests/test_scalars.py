@@ -1,3 +1,8 @@
+import copy
+import math
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, strategies as hst
 
@@ -117,3 +122,99 @@ def test_cached_modulus_is_exact_and_invisible(x):
             assert sc.modulus(x) == expected
     assert (x == fresh, hash(x), repr(x)) == (eq, h, r)
     assert hash(x) == hash(fresh)
+
+
+# A reference model of the Gaussian rationals: the pair (re, im) of
+# ``Fraction``s, with the textbook field operations.
+fracs = hst.one_of(hst.just(Fraction(0)), hst.fractions(max_denominator=60))
+
+
+def _rat(f):
+    return Rat(f.numerator, f.denominator)
+
+
+def _model_render(re, im):
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def _model_sqrt(q):
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if (n * n, d * d) == (q.numerator,
+                                                 q.denominator) else None
+
+
+def _assert_canonical(x):
+    """(a + b*i)/d with d > 0 and gcd(a, b, d) = 1, over plain ints."""
+    a, b, d = x._a, x._b, x._d
+    assert (type(a), type(b), type(d)) == (int, int, int)
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert not hasattr(x, "__dict__")
+
+
+def _assert_is_model(x, re, im):
+    _assert_canonical(x)
+    assert (x.re, x.im) == (re, im)
+    assert x == sc.Scalar(_rat(re), _rat(im))
+    assert hash(x) == hash((re, im))
+    assert repr(x) == f"Scalar(re={_rat(re)!r}, im={_rat(im)!r})"
+    assert sc.render_scalar(x) == _model_render(re, im)
+    assert sc.parse_scalar(sc.render_scalar(x)) == x
+    assert sc.modulus_squared(x) == re * re + im * im
+    assert x.exact_modulus == _model_sqrt(re * re + im * im)
+    assert x.is_zero() == (re == 0 and im == 0)
+
+
+@given(fracs, fracs, fracs, fracs)
+@example(Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
+@example(Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), Fraction(-1, 3))
+def test_scalar_matches_the_two_fraction_model(p, q, r, s):
+    x, y = sc.Scalar(_rat(p), _rat(q)), sc.Scalar(_rat(r), _rat(s))
+    _assert_is_model(x, p, q)
+    _assert_is_model(x + y, p + r, q + s)
+    _assert_is_model(x - y, p - r, q - s)
+    _assert_is_model(x - x, Fraction(0), Fraction(0))
+    _assert_is_model(x * y, p * r - q * s, p * s + q * r)
+    _assert_is_model(-x, -p, -q)
+    _assert_is_model(sc.scale_unit(x, _rat(r)), p * r, q * r)
+    assert (x == y) == ((p, q) == (r, s))
+    assert x != (p, q) and x != p
+
+
+def test_scalar_accepts_any_rational_parts():
+    assert sc.Scalar(1, Fraction(-2, 4)) == sc.Scalar(rat(1), rat(-1, 2))
+    assert sc.Scalar(Fraction(0), 0) == sc.S_ZERO
+    assert (sc.S_ZERO._a, sc.S_ZERO._b, sc.S_ZERO._d) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("mode", [sc.ANY_SCALAR, sc.PYTHAGOREAN_ONLY])
+def test_sampled_scalars_are_canonical(mode):
+    for lam in sc.sample_scalars(rat(1, 3), 200, 5, mode):
+        _assert_canonical(lam)
+    for tup in sc.sample_scalar_tuples(2, 200, 5, mode):
+        for lam in tup:
+            _assert_canonical(lam)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy,
+    *(lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+])
+def test_copies_and_pickles_round_trip(clone):
+    for x in (sc.S_ZERO, sc.S_I, sc.Scalar(rat(3, 5), rat(-4, 5)),
+              sc.Scalar(rat(1), rat(1, 2))):
+        sc.modulus_squared(x)
+        x.exact_modulus  # a filled cache is not part of the value
+        y = clone(x)
+        _assert_canonical(y)
+        assert (y, hash(y), repr(y)) == (x, hash(x), repr(x))
+        assert y.exact_modulus == x.exact_modulus
+
+
+def test_scalar_is_immutable_and_slotted():
+    x = sc.Scalar(rat(3, 5), rat(4, 5))
+    for name in ("re", "im", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, rat(1))

@@ -12,22 +12,31 @@ Each call adds one side (a named version of the code, such as
 ``parent`` or ``change``) to ``--out``, replacing a side of that name
 and keeping the others.  A side records the backend, Python version,
 commit and source digest that all of its records must share, the Tier-1
-wall time when ``--tier1-s`` is given, and, for each workload, seed and
+wall time when ``--tier1-s`` is given, a calibration figure, and, for
+each workload, seed and
 trace setting, the metrics of every run in input order with their
 quartiles, and the operations attempted and failed.  A side whose
 source digest is not the digest of ``src/evslab/*.py`` as committed at
 its recorded commit in the repository holding this file (a run on an
 uncommitted tree is labelled with ``HEAD``) is refused.  Standard
 library only.
+
+The calibration figure ``calibration_s`` is the median wall time of a
+pinned pure-Python loop that imports nothing from evslab, run when the
+side is recorded, so run it on the machine and in the session that made
+the side's records.  Two sides, or two BENCH files, are comparable
+through their metrics divided by their calibration figures.
 """
 
 import argparse
 import json
 import os
 import hashlib
+import math
 import statistics
 import subprocess
 import sys
+from time import perf_counter
 
 # fields every record of one side must agree on
 IDENTITY = ("backend", "python", "commit", "source_sha256", "nproc")
@@ -63,6 +72,30 @@ def _quartiles(values):
     if len(values) == 1:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+CALIBRATION_RUNS = 7
+
+
+def calibration_loop() -> int:
+    """Fixed integer, ``gcd`` and list work, like exact rational
+    arithmetic in pure Python; returns a checksum of it."""
+    total, xs = 1, []
+    for i in range(1, 300_001):
+        total = (total * 7919 + i) % 1_000_003
+        xs.append(math.gcd(total, i) + (total & 0xFF))
+    return total + sum(xs)
+
+
+def calibration_s() -> float:
+    """Median wall seconds of :func:`calibration_loop` over
+    ``CALIBRATION_RUNS`` runs."""
+    times = []
+    for _ in range(CALIBRATION_RUNS):
+        t0 = perf_counter()
+        calibration_loop()
+        times.append(perf_counter() - t0)
+    return statistics.median(times)
 
 
 def collect(paths):
@@ -121,6 +154,7 @@ def main(argv=None) -> int:
         return 2
     if args.tier1_s is not None:
         side["tier1_wall_s"] = args.tier1_s
+    side["calibration_s"] = calibration_s()
     doc = {"sides": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
