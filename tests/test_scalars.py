@@ -150,7 +150,6 @@ def _assert_canonical(x):
     a, b, d = x._a, x._b, x._d
     assert (type(a), type(b), type(d)) == (int, int, int)
     assert d > 0 and math.gcd(a, b, d) == 1
-    assert not hasattr(x, "__dict__")
 
 
 def _assert_is_model(x, re, im):
@@ -215,6 +214,7 @@ def test_copies_and_pickles_round_trip(clone):
 
 def test_scalar_is_immutable_and_slotted():
     x = sc.Scalar(rat(3, 5), rat(4, 5))
+    assert not hasattr(x, "__dict__")
     for name in ("re", "im", "extra"):
         with pytest.raises(AttributeError):
             setattr(x, name, rat(1))

@@ -13,13 +13,12 @@ Each call adds one side (a named version of the code, such as
 and keeping the others.  A side records the backend, Python version,
 commit and source digest that all of its records must share, the Tier-1
 wall time when ``--tier1-s`` is given, a calibration figure, and, for
-each workload, seed and
-trace setting, the metrics of every run in input order with their
-quartiles, and the operations attempted and failed.  A side whose
-source digest is not the digest of ``src/evslab/*.py`` as committed at
-its recorded commit in the repository holding this file (a run on an
-uncommitted tree is labelled with ``HEAD``) is refused.  Standard
-library only.
+each workload, seed and trace setting, the metrics of every run in input
+order with their quartiles, and the operations attempted and failed.
+A side whose source digest is not the digest of ``src/evslab/*.py`` as
+committed at its recorded commit in the repository holding this file (a
+run on an uncommitted tree is labelled with ``HEAD``) is refused.
+Standard library only.
 
 The calibration figure ``calibration_s`` is the median wall time of a
 pinned pure-Python loop that imports nothing from evslab, run when the
