@@ -20,12 +20,12 @@ def _rand_nonneg_rat(rng: random.Random, height: int = 6):
 
 
 def _rand_scalar(rng: random.Random, height: int = 5) -> sc.Scalar:
-    re = Rat(rng.randint(-height, height), rng.randint(1, height))
+    a, p = rng.randint(-height, height), rng.randint(1, height)
     if rng.random() < 0.4:
-        im = Rat(rng.randint(-height, height), rng.randint(1, height))
+        b, q = rng.randint(-height, height), rng.randint(1, height)
     else:
-        im = ZERO
-    return sc.Scalar(re, im)
+        b, q = 0, 1
+    return sc.from_ints(a, p, b, q)
 
 
 def _render_vec(a) -> str:

@@ -39,14 +39,8 @@ class Scalar:
     __slots__ = ("_a", "_b", "_d", "_modulus")
 
     def __new__(cls, re, im):
-        p, q = int(re.denominator), int(im.denominator)
-        if p == q:
-            return _new(int(re.numerator), int(im.numerator), p)
-        # over lcm(p, q) the triple is already in lowest terms, since
-        # re and im are
-        g = math.gcd(p, q)
-        return _new(int(re.numerator) * (q // g),
-                    int(im.numerator) * (p // g), p // g * q)
+        return from_ints(int(re.numerator), int(re.denominator),
+                         int(im.numerator), int(im.denominator))
 
     def __reduce__(self):
         # copy and pickle must rebuild through __new__, which takes the pair
@@ -74,15 +68,11 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         d, f = self._d, other._d
-        if d == f:
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * f + other._a * d,
                         self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         d, f = self._d, other._d
-        if d == f:
-            return _reduced(self._a - other._a, self._b - other._b, d)
         return _reduced(self._a * f - other._a * d,
                         self._b * f - other._b * d, d * f)
 
@@ -127,6 +117,11 @@ def _reduced(a, b, d):
     if g == 1:
         return _new(a, b, d)
     return _new(a // g, b // g, d // g)
+
+
+def from_ints(a, p, b, q) -> Scalar:
+    """The scalar a/p + (b/q)*i, for ints with p, q > 0."""
+    return _reduced(a * q, b * p, p * q)
 
 
 def scalar(re, im=0) -> Scalar:

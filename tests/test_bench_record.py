@@ -67,7 +67,9 @@ def _record(tmp_path, name, workload, seed, wall, ident, failed=0):
     return str(path)
 
 
-def test_sides_group_runs_and_keep_each_other(tmp_path, commits):
+def test_sides_group_runs_and_keep_each_other(tmp_path, commits,
+                                              monkeypatch):
+    monkeypatch.setattr(bench_record, "calibration_loop", lambda: 0)
     out = tmp_path / "BENCH.json"
     runs = [_record(tmp_path, f"r{k}.json", "laws", 7, w, commits["c0"])
             for k, w in enumerate([2.0, 1.0, 4.0, 3.0, 5.0])]
@@ -91,11 +93,12 @@ def test_sides_group_runs_and_keep_each_other(tmp_path, commits):
         (2.0, 3.0, 4.0, "s")
     assert change["commit"] == commits["c1"][0]
     assert "tier1_wall_s" not in change
-    assert parent["calibration_s"] > 0 and change["calibration_s"] > 0
+    assert parent["calibration"]["median"] >= 0
+    assert change["calibration"]["median"] >= 0
 
 
-def test_calibration_is_the_median_of_a_pinned_loop(tmp_path, commits,
-                                                    monkeypatch):
+def test_calibration_is_the_quartiles_of_a_pinned_loop(tmp_path, commits,
+                                                       monkeypatch):
     # the loop's work is pinned: an edit to it changes the checksum
     assert bench_record.calibration_loop() == 41007871
     # seven runs of 5, 1, 3, 2, 9, 4 and 7 s on a fake clock
@@ -105,7 +108,9 @@ def test_calibration_is_the_median_of_a_pinned_loop(tmp_path, commits,
     out = tmp_path / "BENCH.json"
     run = _record(tmp_path, "a.json", "laws", 7, 1.0, commits["c0"])
     assert bench_record.main(["--out", str(out), "--side", "x", run]) == 0
-    assert json.loads(out.read_text())["sides"]["x"]["calibration_s"] == 4
+    assert json.loads(out.read_text())["sides"]["x"]["calibration"] == {
+        "unit": "s", "values": [5, 1, 3, 2, 9, 4, 7], "q1": 2.5,
+        "median": 4, "q3": 6}
 
 
 def test_records_of_two_commits_are_not_one_side(tmp_path, commits, capsys):

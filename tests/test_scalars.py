@@ -171,6 +171,9 @@ def _assert_is_model(x, re, im):
 def test_scalar_matches_the_two_fraction_model(p, q, r, s):
     x, y = sc.Scalar(_rat(p), _rat(q)), sc.Scalar(_rat(r), _rat(s))
     _assert_is_model(x, p, q)
+    # from_ints reduces parts that are not in lowest terms
+    _assert_is_model(sc.from_ints(3 * p.numerator, 3 * p.denominator,
+                                  q.numerator, q.denominator), p, q)
     _assert_is_model(x + y, p + r, q + s)
     _assert_is_model(x - y, p - r, q - s)
     _assert_is_model(x - x, Fraction(0), Fraction(0))

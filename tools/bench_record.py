@@ -20,11 +20,14 @@ committed at its recorded commit in the repository holding this file (a
 run on an uncommitted tree is labelled with ``HEAD``) is refused.
 Standard library only.
 
-The calibration figure ``calibration_s`` is the median wall time of a
-pinned pure-Python loop that imports nothing from evslab, run when the
-side is recorded, so run it on the machine and in the session that made
-the side's records.  Two sides, or two BENCH files, are comparable
-through their metrics divided by their calibration figures.
+The ``calibration`` entry holds the wall times of seven runs of a
+pinned pure-Python loop that imports nothing from evslab, with their
+quartiles.  It is a rough reading of the machine's speed when the side
+is recorded, which may be long after its runs, not a normaliser: on a
+shared machine it drifts by several percent between two sides recorded
+one after the other, as much as a small gain being measured.  Its
+quartiles show how noisy the reading was.  Compare sides through pairs
+run alternately in one session, not through their calibration figures.
 """
 
 import argparse
@@ -86,15 +89,17 @@ def calibration_loop() -> int:
     return total + sum(xs)
 
 
-def calibration_s() -> float:
-    """Median wall seconds of :func:`calibration_loop` over
-    ``CALIBRATION_RUNS`` runs."""
+def calibration() -> dict:
+    """Wall seconds of ``CALIBRATION_RUNS`` runs of
+    :func:`calibration_loop`, with their quartiles."""
     times = []
     for _ in range(CALIBRATION_RUNS):
         t0 = perf_counter()
         calibration_loop()
         times.append(perf_counter() - t0)
-    return statistics.median(times)
+    q1, median, q3 = _quartiles(times)
+    return {"unit": "s", "values": times, "q1": q1, "median": median,
+            "q3": q3}
 
 
 def collect(paths):
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
         return 2
     if args.tier1_s is not None:
         side["tier1_wall_s"] = args.tier1_s
-    side["calibration_s"] = calibration_s()
+    side["calibration"] = calibration()
     doc = {"sides": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
