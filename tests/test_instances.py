@@ -8,9 +8,9 @@ import sympy
 
 from evslab import scalars as sc
 from evslab._backend import Rat, rat
-from evslab.instances import (FULL_SUBSPACE, ZERO_SUBSPACE, _rand_scalar,
-                              dict_plane, half_line, line, make_instance,
-                              span_join, subspace_leq, subspace_lattice)
+from evslab.instances import (FULL_SUBSPACE, ZERO_SUBSPACE, dict_plane,
+                              half_line, line, make_instance, span_join,
+                              subspace_leq, subspace_lattice)
 
 
 def test_symbolic_halfline_identities():
@@ -129,15 +129,3 @@ def test_dict_plane_primitives():
     assert D.is_primitive(D.zero)
     assert not D.is_primitive((rat(0), rat(1)))  # (0,1) > (0,0) = theta
     assert D.primitive_set((rat(2), rat(3))) == [D.zero]
-
-
-def test_rand_scalar_builds_the_scalar_of_its_draws():
-    """The sampler keeps its stream: the same draws, read as two
-    rationals, give the same scalar."""
-    rng, ref = random.Random(11), random.Random(11)
-    for _ in range(300):
-        re = Rat(ref.randint(-5, 5), ref.randint(1, 5))
-        im = (Rat(ref.randint(-5, 5), ref.randint(1, 5))
-              if ref.random() < 0.4 else rat(0))
-        assert _rand_scalar(rng) == sc.Scalar(re, im)
-    assert rng.random() == ref.random()
