@@ -113,6 +113,22 @@ def test_calibration_is_the_quartiles_of_a_pinned_loop(tmp_path, commits,
         "median": 4, "q3": 6}
 
 
+def test_repeated_tier1_times_are_kept_with_their_quartiles(tmp_path,
+                                                            commits,
+                                                            monkeypatch):
+    monkeypatch.setattr(bench_record, "calibration_loop", lambda: 0)
+    out = tmp_path / "BENCH.json"
+    run = _record(tmp_path, "a.json", "laws", 7, 1.0, commits["c0"])
+    times = ["41.4", "37.8", "40.9", "46.3"]
+    assert bench_record.main(["--out", str(out), "--side", "x",
+                              *(a for t in times for a in ("--tier1-s", t)),
+                              run]) == 0
+    side = json.loads(out.read_text())["sides"]["x"]
+    assert side["tier1"] == {"unit": "s", "values": [41.4, 37.8, 40.9, 46.3],
+                             "q1": 40.125, "median": 41.15, "q3": 42.625}
+    assert side["tier1_wall_s"] == 41.15
+
+
 def test_records_of_two_commits_are_not_one_side(tmp_path, commits, capsys):
     runs = [_record(tmp_path, "a.json", "laws", 7, 1.0, commits["c0"]),
             _record(tmp_path, "b.json", "laws", 7, 1.0, commits["c1"])]

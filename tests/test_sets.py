@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -60,6 +63,53 @@ def test_unbounded_interval():
 
 # ---------------------------------------------------------------- algebra
 
+_PIECES = [(rat(0), True, rat(1, 2), False), (rat(1), False, rat(1), True),
+           (rat(3), False, INF, False)]
+
+
+def _built_and_public():
+    """Each piece and a union of them, made by the kernel builders and
+    by the public constructors."""
+    ivs = [(S._iv(*p), Interval(*p)) for p in _PIECES]
+    comps = tuple(public for _, public in ivs)
+    return ivs + [(S._iu(comps), IntervalUnion(comps)),
+                  (S.EMPTY_IU, IntervalUnion(()))]
+
+
+def test_builders_make_the_public_value():
+    for built, public in _built_and_public():
+        assert type(built) is type(public)
+        assert (built, hash(built), repr(built)) == \
+            (public, hash(public), repr(public))
+
+
+def test_intervals_and_unions_are_frozen_and_slotted():
+    for built, public in _built_and_public():
+        for x in (built, public):
+            assert not hasattr(x, "__dict__")
+            for f in dataclasses.fields(x):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, f.name, rat(1))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(x, f.name)
+            # a name that is not a field is refused too; Python 3.11's
+            # slotted frozen __setattr__ raises TypeError for it
+            with pytest.raises((TypeError, AttributeError)):
+                x.extra = rat(1)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy,
+    *(lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+])
+def test_intervals_and_unions_copy_and_pickle(clone):
+    for built, public in _built_and_public():
+        y = clone(built)
+        assert type(y) is type(public)
+        assert (y, hash(y), repr(y)) == (public, hash(public), repr(public))
+
+
 def test_intersect_union_subset():
     a, b = iu((0, 3)), iu((1, 2, False, True), (5, 6))
     assert iu_intersect(a, b) == iu((1, 2, False, True))
@@ -95,6 +145,33 @@ def _grid(a, b):
     return ends + mids + [ends[-1] + 1]
 
 
+def _assert_canonical(u):
+    for c in u.components:
+        assert not c.is_empty() and c.lo >= 0
+    for c, d in zip(u.components, u.components[1:]):
+        # sorted, disjoint and not touching at a point either one holds
+        assert c.hi is not INF and (c.hi < d.lo or (
+            c.hi == d.lo and not (c.hi_closed or d.lo_closed)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hst.lists(hst.tuples(
+    hst.integers(0, 4), hst.integers(-1, 3), hst.booleans(), hst.booleans(),
+    hst.integers(0, 7)), max_size=6))
+def test_interval_union_of_raw_pieces(raw):
+    """Few small endpoints make nested pieces, equal ends and touching
+    ends frequent; a piece with tail 0 is unbounded, and a width of -1
+    or 0 gives an empty or a degenerate piece."""
+    pieces = [Interval(rat(lo), lc, INF, hc) if tail == 0 else
+              Interval(rat(lo), lc, rat(max(lo + w, 0)), hc)
+              for lo, w, lc, hc, tail in raw]
+    u = interval_union(pieces)
+    for x in _grid(IntervalUnion(tuple(pieces)), u):
+        assert u.member(x) == any(c.member(x) for c in pieces)
+    _assert_canonical(u)
+    assert interval_union(list(u.components)) == u
+
+
 _small_rats = hst.builds(Rat, hst.integers(0, 12), hst.integers(1, 6))
 
 
@@ -106,7 +183,7 @@ def test_kernel_matches_pointwise_membership(a, b, t, shift):
     for x in grid:
         assert meet.member(x) == (a.member(x) and b.member(x))
         assert join.member(x) == (a.member(x) or b.member(x))
-    for out in (meet, join):
+    for out in (meet, join, iu_minkowski(a, b)):
         assert interval_union(list(out.components)) == out
     assert iu_subset(a, b) == all(b.member(x) for x in grid if a.member(x))
     assert iu_subset(a, a) and iu_subset(b, b)

@@ -1,7 +1,7 @@
 """Collect perfbench result records into one committed BENCH file.
 
     python3 tools/bench_record.py --out BENCH_1.json --side change \
-        [--tier1-s 62.7] result-laws-seed7-trace0.json ...
+        [--tier1-s 62.7 --tier1-s 60.1 ...] result-laws-seed7-trace0.json ...
 
 ``perfbench/run.py`` writes one record per run to
 ``.perfbench_out/result-<workload>-seed<n>-trace<t>.json``; the next run
@@ -12,7 +12,7 @@ Each call adds one side (a named version of the code, such as
 ``parent`` or ``change``) to ``--out``, replacing a side of that name
 and keeping the others.  A side records the backend, Python version,
 commit and source digest that all of its records must share, the Tier-1
-wall time when ``--tier1-s`` is given, a calibration figure, and, for
+wall times when ``--tier1-s`` is given, a calibration figure, and, for
 each workload, seed and trace setting, the metrics of every run in input
 order with their quartiles, and the operations attempted and failed.
 A side whose source digest is not the digest of ``src/evslab/*.py`` as
@@ -28,6 +28,11 @@ shared machine it drifts by several percent between two sides recorded
 one after the other, as much as a small gain being measured.  Its
 quartiles show how noisy the reading was.  Compare sides through pairs
 run alternately in one session, not through their calibration figures.
+
+``--tier1-s`` may be repeated, once per Tier-1 run of the side; one
+run cannot tell two sides apart on a shared machine.  The ``tier1``
+entry holds every value with its quartiles, like ``calibration``, and
+``tier1_wall_s`` their median.
 """
 
 import argparse
@@ -76,6 +81,13 @@ def _quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def _seconds(values) -> dict:
+    """Wall times in seconds with their quartiles."""
+    q1, median, q3 = _quartiles(values)
+    return {"unit": "s", "values": values, "q1": q1, "median": median,
+            "q3": q3}
+
+
 CALIBRATION_RUNS = 7
 
 
@@ -97,9 +109,7 @@ def calibration() -> dict:
         t0 = perf_counter()
         calibration_loop()
         times.append(perf_counter() - t0)
-    q1, median, q3 = _quartiles(times)
-    return {"unit": "s", "values": times, "q1": q1, "median": median,
-            "q3": q3}
+    return _seconds(times)
 
 
 def collect(paths):
@@ -147,8 +157,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
     ap.add_argument("--side", required=True)
-    ap.add_argument("--tier1-s", type=float, default=None,
-                    help="Tier-1 test suite wall time of this side, in s")
+    ap.add_argument("--tier1-s", type=float, action="append",
+                    help="Tier-1 test suite wall time of one run of this "
+                         "side, in s; repeat it for each run")
     ap.add_argument("results", nargs="+")
     args = ap.parse_args(argv)
     try:
@@ -156,8 +167,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
-    if args.tier1_s is not None:
-        side["tier1_wall_s"] = args.tier1_s
+    if args.tier1_s:
+        side["tier1"] = _seconds(args.tier1_s)
+        side["tier1_wall_s"] = side["tier1"]["median"]
     side["calibration"] = calibration()
     doc = {"sides": {}}
     if os.path.exists(args.out):
