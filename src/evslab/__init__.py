@@ -18,10 +18,9 @@ from .instances import (MORPHISMS, PLANTED_FAULTS, OrderIso, cone_product,
 from .outcome import (PROVEN, REFUTED, UNFALSIFIED, CheckOutcome, subseed)
 from .scalars import (ANY_SCALAR, PYTHAGOREAN_ONLY, Scalar, modulus,
                       modulus_squared, parse_scalar, render_scalar, scalar)
-from .setexpr import SetExprError, parse_set_expression, render_set_expression
+from .setexpr import SetExprError, parse_set_expression
 from .sets import (AnchoredBoxUnion, Interval, IntervalUnion, LatticeFamily,
-                   PredicateSet, ProductSlice, interval_union, is_absorbing,
-                   is_balanced, iu)
+                   ProductSlice, interval_union, is_absorbing, is_balanced, iu)
 from .setlaws import (check_absorbing_closure_laws,
                       check_balanced_closure_laws, check_radial,
                       check_radial_product_and_hereditary,

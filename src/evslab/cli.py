@@ -118,12 +118,10 @@ def run_sets(spec: str, budget: int, seed: int,
                                      nonempty=True)):
         recs.append(_timed(
             f"sets.input{i}.balanced", E.name, "sets",
-            lambda A=A: st.is_balanced(A, E, budget,
-                                       subseed(seed, f"in{i}:bal"))))
+            lambda A=A: st.is_balanced(A)))
         recs.append(_timed(
             f"sets.input{i}.absorbing", E.name, "sets",
-            lambda A=A: st.is_absorbing(A, E, budget,
-                                        subseed(seed, f"in{i}:abs"))))
+            lambda A=A: st.is_absorbing(A)))
     if not recs:
         raise click.UsageError(
             f"instance {spec!r} has no exact interval support and no "
@@ -155,7 +153,7 @@ def run_bounded(spec: str, budget: int, seed: int,
         recs.append(_timed(
             f"bounded.input{i}", E.name, "bounded",
             lambda A=A: topology.is_bounded_set(
-                A, E, budget, subseed(seed, f"in{i}:bnd"))))
+                A, subseed(seed, f"in{i}:bnd"))))
     if not recs:
         raise click.UsageError(
             f"instance {spec!r} needs interval support or --input sets")

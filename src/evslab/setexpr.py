@@ -180,8 +180,3 @@ def parse_set_expression(text: str, kind: str = "halfline"):
     value = _PARSERS[kind](cur)
     cur.done()
     return value
-
-
-def render_set_expression(A) -> str:
-    """Canonical textual form; parses back to an equal value."""
-    return A.render()

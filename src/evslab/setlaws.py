@@ -224,7 +224,7 @@ def check_radial(E: EvsDescriptor, budget: int, seed: int) -> CheckOutcome:
             return refuted({"x": E.render(x), "y": E.render(y),
                             "set": A.render(), "_raw": (x, y, A)},
                            tried, seed, "separator failed to separate")
-        if not st.is_absorbing(A, E).proven:
+        if not st.is_absorbing(A).proven:
             return refuted({"x": E.render(x), "y": E.render(y),
                             "set": A.render(), "_raw": (x, y, A)},
                            tried, seed, "separator is not absorbing")
@@ -276,7 +276,7 @@ def check_radial_product_and_hereditary(
                     {"x": prod.render(x), "y": prod.render(y),
                      "cylinder": cyl.render(), "_raw": (x, y, cyl)},
                     tried, seed, "cylinder failed to separate")
-            if not st.is_absorbing(cyl.factors[i], parts[i]).proven:
+            if not st.is_absorbing(cyl.factors[i]).proven:
                 return refuted(
                     {"factor": i, "set": cyl.factors[i].render(),
                      "_raw": (cyl,)},
@@ -372,10 +372,10 @@ def check_radial_transport(phi: OrderIso, budget: int,
         B = radial_separator(F, fx, fy) if F.element_kind != "product" \
             else None
         okA = st.set_member(A, x) != st.set_member(A, y) and \
-            st.is_absorbing(A, E).proven
+            st.is_absorbing(A).proven
         okB = B is not None and \
             st.set_member(B, fx) != st.set_member(B, fy) and \
-            st.is_absorbing(B, F).proven
+            st.is_absorbing(B).proven
         if okA != okB:
             return refuted({"x": E.render(x), "y": E.render(y),
                             "_raw": (x, y)}, tried, seed,

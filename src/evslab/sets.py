@@ -2,13 +2,14 @@
 
 Four exact carriers (interval unions on the half line, anchored box
 unions on the dictionary plane, finite/cofinite subspace families,
-product slices on the cone) plus opaque predicate sets and product
-cylinders.  Every carrier has ``member`` and ``render``; where it has
-one, it also owns its exact image ``scale(lam)``, its one-point
-superset ``with_point(x)`` and the deciders ``balanced``, ``absorbing``
-and ``bounded``, each called as ``(E, budget, seed)``.  Balanced and
-absorbing are decided exactly on the exact carriers and falsified by
-sampling on predicate sets.  Only interval unions carry a set algebra
+product slices on the cone) plus product cylinders.  Every carrier has
+``member`` and ``render``; where it has one, it also owns its exact
+image ``scale(lam)``, its one-point superset ``with_point(x)`` and the
+deciders ``balanced()``, ``absorbing()`` and ``bounded(seed)``.  The
+deciders never sample: a Proven or Refuted verdict follows from the
+representation by an exact argument, and ``ProductSlice.balanced``,
+which has no criterion yet, answers Unfalsified where its endpoint
+scan finds no violation.  Only interval unions carry a set algebra
 (intersection, union, Minkowski sum, translation, up/down images).
 
 An ``IntervalUnion`` is kept canonical: its components are nonempty,
@@ -47,12 +48,12 @@ none; the law drivers call these functions, never the methods.
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import scalars as sc
 from ._backend import ONE, ZERO, Rat, rat, rat_str
 from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
-from .outcome import CheckOutcome, proven, refuted, subseed, unfalsified
+from .outcome import CheckOutcome, proven, refuted, unfalsified
 
 INF = None  # right endpoint marker for unbounded intervals
 
@@ -145,7 +146,7 @@ class IntervalUnion:
     def with_point(self, x) -> "IntervalUnion":
         return iu_union(self, iu((x, x, True, True)))
 
-    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+    def balanced(self) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         comps = self.components
@@ -168,7 +169,7 @@ class IntervalUnion:
                     "escape": rat_str(gap), "_raw": (x, t)}
         return refuted(into_gap, detail="scaling by |alpha|<1 leaves A")
 
-    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+    def absorbing(self) -> CheckOutcome:
         if not self.is_empty() and self.contains_zero():
             c0 = self.components[0]
             if c0.hi is INF or c0.hi > 0:
@@ -183,7 +184,7 @@ class IntervalUnion:
         return refuted({"x": "1", "alpha": "0", "_raw": (ONE, ZERO)},
                        detail="theta = 0.x is outside A")
 
-    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
+    def bounded(self, seed: int) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         s, _ = self.sup()
@@ -496,12 +497,12 @@ class AnchoredBoxUnion:
     def scale(self, lam: sc.Scalar) -> "AnchoredBoxUnion":
         return box_scale(sc.modulus(lam), self)
 
-    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+    def balanced(self) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         return proven("anchored box unions are closed under diagonal shrink")
 
-    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+    def absorbing(self) -> CheckOutcome:
         for b in self.boxes:
             a_pos = b.a is INF or b.a > 0
             b_pos = b.b is INF or b.b > 0
@@ -581,7 +582,7 @@ class LatticeFamily:
     def scale(self, lam: sc.Scalar) -> "LatticeFamily":
         return lattice_scale(lam, self)
 
-    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+    def balanced(self) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         if self.member(ZERO_SUBSPACE):
@@ -592,7 +593,7 @@ class LatticeFamily:
                                 "escape": "zero", "_raw": (y, ZERO)},
                        detail="0.Y = zero subspace is outside A")
 
-    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
+    def absorbing(self) -> CheckOutcome:
         if self.is_all():
             return proven("the family is the whole lattice")
         y = some_missing_subspace(self)
@@ -724,7 +725,7 @@ class ProductSlice:
         return ProductSlice(self.pieces + (
             (iu((r, r, True, True)), finite_vectors(a)),))
 
-    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
+    def balanced(self) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         ok = True
@@ -753,21 +754,58 @@ class ProductSlice:
                            "no exact criterion; no violation found on "
                            "endpoints")
 
-    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
-        for iupart, reg in self._nonempty_pieces():
-            c0 = iupart.components[0]
-            has_radial_nbhd = c0.lo == 0 and c0.lo_closed and (
-                c0.hi is INF or c0.hi > 0)
-            if has_radial_nbhd and reg.kind == BALL and reg.radius > 0:
-                return proven(
-                    lambda: f"contains [0,s) x ball(t) with s,t > 0: "
-                            f"{iupart.render()} x {reg.render()}")
-        if E is not None:
-            return PredicateSet(self.member, lambda s, c: E.sample(s, c),
-                                "slice").absorbing(E, budget, seed)
-        return unfalsified(0, seed, "no [0,s) x ball(t) piece found")
+    def absorbing(self) -> CheckOutcome:
+        """Exact on cone:n, where mu.(r, a) = (|mu| r, mu a): the slice
+        is absorbing iff the union U of the radial parts of its pieces
+        whose region is ball(t) with t > 0 has a nondegenerate
+        0-component closed at 0, the rule of ``IntervalUnion.absorbing``
+        applied to U.
 
-    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
+        Sufficiency.  Say U holds [0, s) with s > 0, and let t_min be
+        the least radius of those balls.  For x = (r, a) take alpha > 0
+        below s/r (if r > 0) and below t_min/|a| (if a != 0; |a| is the
+        largest modulus of a coordinate).  For |mu| <= alpha, |mu| r is
+        in [0, s), so in the radial part of a piece with region ball(t),
+        t >= t_min >= |mu| |a|; so mu.x is in that piece.
+
+        Necessity.  Take x = (0, e1) if 0 is not in U, and x = (1, e1)
+        if the 0-component of U is {0}, where e1 = (1, 0, ..., 0).  Let
+        g be 1 in the first case and the left end of U's second
+        component (or 1) in the second.  For real mu in (0, g) the
+        radial coordinate of mu.x is outside U, so only a piece whose
+        region is ball(0) or a finite vector set can hold mu.x.  Since
+        mu e1 != 0, ball(0) never does, and a finite set holds mu e1
+        only for mu equal to the first coordinate of one of its vectors.
+        Lowering g to each such coordinate that is a positive real, every
+        real mu in (0, g) sends x outside A, so no alpha > 0 works; the
+        witness carries g as ``escape_below``."""
+        pieces = self._nonempty_pieces()
+        U = interval_union([c for iupart, reg in pieces
+                            if reg.kind == BALL and reg.radius > 0
+                            for c in iupart.components])
+        on_U = U.absorbing()
+        if on_U.proven:
+            return proven(lambda: "the union of the radial parts of its "
+                                  f"ball(t > 0) pieces {on_U.detail}")
+        if U.contains_zero():  # its 0-component is {0}
+            r, where = ONE, "meet [0, escape_below) only in 0"
+            g = U.components[1].lo if len(U.components) > 1 else ONE
+        else:
+            r, where, g = ZERO, "miss 0", ONE
+        for _, reg in pieces:
+            if reg.kind == FINITE_VECTORS:
+                for v in reg.vectors:
+                    if v[0].im == 0 and v[0].re > 0 and \
+                            all(c.is_zero() for c in v[1:]):
+                        g = min(g, v[0].re)
+        return refuted(
+            lambda: {"x": f"({rat_str(r)}, e1)", "escape_below": rat_str(g),
+                     "_raw": (r, g)},
+            detail=f"the radial parts of its ball(t > 0) pieces {where}: "
+                   "any real mu in (0, escape_below) sends x outside A "
+                   "(e1 = (1, 0, ..., 0)), so no alpha > 0 works")
+
+    def bounded(self, seed: int) -> CheckOutcome:
         if self.is_empty():
             raise ValueError("empty set")
         sups = []
@@ -801,99 +839,6 @@ def product_slice(*pieces) -> ProductSlice:
     return ProductSlice(tuple(pieces))
 
 
-# ----------------------------------------------------------- predicate set
-
-@dataclass
-class PredicateSet:
-    """Opaque membership oracle with a sampler of claimed members."""
-
-    oracle: Callable
-    witness_sampler: Callable  # (seed, count) -> elements claimed inside
-    label: str = "predicate"
-
-    def member(self, x) -> bool:
-        return self.oracle(x)
-
-    def render(self) -> str:
-        return f"<{self.label}>"
-
-    def scale(self, lam: sc.Scalar):
-        raise TypeError("cannot compute exact images of predicate sets")
-
-    def with_point(self, x) -> "PredicateSet":
-        return PredicateSet(lambda z, _A=self, _x=x: _A.member(z) or z == _x,
-                            self.witness_sampler, self.label + "+pt")
-
-    def balanced(self, E, budget: int, seed: int) -> CheckOutcome:
-        if E is None:
-            return unfalsified(0, seed, "no descriptor supplied for sampling")
-        xs = self.witness_sampler(subseed(seed, "bal:x"), budget)
-        mode = E.scalar_mode
-        alphas = sc.sample_scalars(ONE, max(4, budget // 8),
-                                   subseed(seed, "bal:a"), mode)
-        tried = 0
-        for x in xs:
-            if not self.member(x):
-                raise ValueError("witness sampler produced a non-member")
-            for a in alphas:
-                tried += 1
-                ax = E.scale(a, x)
-                if not self.member(ax):
-                    return refuted({"x": E.render(x),
-                                    "alpha": sc.render_scalar(a),
-                                    "_raw": (x, a)},
-                                   tried, seed, "alpha.x left A")
-        return unfalsified(tried, seed)
-
-    def absorbing(self, E, budget: int, seed: int) -> CheckOutcome:
-        """For each sampled x, search a mu-grid for an escape at every
-        alpha."""
-        if E is None:
-            return unfalsified(0, seed, "no descriptor supplied for sampling")
-        xs = E.sample(subseed(seed, "abs:x"), max(4, budget // 16))
-        alphas = [Rat(1, k) for k in (1, 2, 4, 8, 16, 64, 256)]
-        tried = 0
-        for x in xs:
-            for a in alphas:
-                escape_mu = None
-                for j in (1, 2, 3, 5, 8, 13):
-                    mu = sc.Scalar(a / j, ZERO)
-                    tried += 1
-                    if not self.member(E.scale(mu, x)):
-                        escape_mu = mu
-                        break
-                if escape_mu is None:
-                    break
-            if escape_mu is not None:
-                return refuted({"x": E.render(x),
-                                "mu": sc.render_scalar(escape_mu),
-                                "_raw": (x, escape_mu)},
-                               tried, seed,
-                               "escapes found at every tested alpha")
-        return unfalsified(tried, seed)
-
-    def bounded(self, E, budget: int, seed: int) -> CheckOutcome:
-        """Sequence falsifier over the half line: hunt members x_n >= n;
-        if they keep appearing, lambda_n = 1/n never sends them to
-        theta."""
-        escapes = 0
-        last = None
-        for n in range(1, max(2, budget) + 1):
-            cand = rat(n)
-            if self.member(cand):
-                escapes += 1
-                last = n
-        if escapes >= 3:
-            return refuted(
-                {"x_n": "n for every tested member index",
-                 "lambda_n": "1/n", "last_n": str(last)},
-                escapes, seed,
-                "lambda_n.x_n = 1 for every hit; the sequence never enters "
-                "[0,1/2)")
-        return unfalsified(max(2, budget), seed,
-                           "no escaping sequence found on the integer grid")
-
-
 # ------------------------------------------------------------- cylinders
 
 @dataclass(frozen=True)
@@ -914,7 +859,7 @@ class ProductCylinder:
 # ------------------------------------------------------ carrier protocol
 
 CARRIERS = (IntervalUnion, AnchoredBoxUnion, LatticeFamily, ProductSlice,
-            PredicateSet, ProductCylinder)
+            ProductCylinder)
 
 
 def carrier_operation(A, name: str,
@@ -943,15 +888,15 @@ def scale_set(lam: sc.Scalar, A):
     return carrier_operation(A, "scale")(lam)
 
 
-def is_balanced(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
-    """Exact balancedness where the representation allows, sampling
-    falsification for predicate sets.  Rejects the empty set."""
-    return carrier_operation(A, "balanced")(E, budget, seed)
+def is_balanced(A) -> CheckOutcome:
+    """Balancedness, decided exactly from the representation (product
+    slices may answer Unfalsified).  Rejects the empty set."""
+    return carrier_operation(A, "balanced")()
 
 
-def is_absorbing(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
-    """Exact absorbency on the exact carriers, sampling otherwise."""
-    return carrier_operation(A, "absorbing")(E, budget, seed)
+def is_absorbing(A) -> CheckOutcome:
+    """Absorbency, decided exactly from the representation."""
+    return carrier_operation(A, "absorbing")()
 
 
 # ------------------------------------------------------- random generators

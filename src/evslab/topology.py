@@ -1,6 +1,7 @@
 """Neighborhood structure on the exact carriers.
 
-Exact boundedness with a sequence falsifier, the five local-base
+Exact boundedness (an unbounded set is Refuted with a symbolic escaping
+sequence), the five local-base
 conditions for a candidate family at theta (condition (iii) builds a
 verified halving neighborhood), the open-balanced-absorbing normal form,
 and the finest-topology audit over candidate generator families.
@@ -55,10 +56,11 @@ def halving_nbhd(U: IntervalUnion) -> IntervalUnion:
 
 # ------------------------------------------------------------- boundedness
 
-def is_bounded_set(A, E=None, budget: int = 200, seed: int = 0) -> CheckOutcome:
-    """Exact boundedness for interval unions and product slices, a
-    sequence falsifier for predicate sets over the half line."""
-    return st.carrier_operation(A, "bounded")(E, budget, seed)
+def is_bounded_set(A, seed: int = 0) -> CheckOutcome:
+    """Exact boundedness for interval unions and product slices; an
+    unbounded set is Refuted with a symbolic escaping sequence.  ``seed``
+    is only written into the outcome."""
+    return st.carrier_operation(A, "bounded")(seed)
 
 
 def definition_bounded_grid(A: IntervalUnion, depth: int = 6) -> bool:

@@ -142,3 +142,42 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree)
             if isinstance(n, ast.Assert)] == []
+
+
+_DECIDERS = ("balanced", "absorbing", "bounded")
+
+
+def _sampling_deciders(source: str) -> list:
+    """``Class.method`` for every ``balanced``, ``absorbing`` or
+    ``bounded`` method that calls ``sample`` or ``sample_scalars``,
+    directly or in a nested function or lambda."""
+    out = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in _DECIDERS):
+                continue
+            calls = {n.func.attr if isinstance(n.func, ast.Attribute)
+                     else getattr(n.func, "id", None)
+                     for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            if calls & {"sample", "sample_scalars"}:
+                out.append(f"{cls.name}.{fn.name}")
+    return out
+
+
+def test_sampling_checker_sees_samplers():
+    src = ("class C:\n"
+           "    def absorbing(self, E):\n"
+           "        return (lambda s: E.sample(s, 4))(0)\n"
+           "    def balanced(self):\n"
+           "        return sample_scalars(1, 4, 0)\n"
+           "    def bounded(self, seed): return seed\n"
+           "    def member(self, E): return E.sample(0, 1)\n")
+    assert _sampling_deciders(src) == ["C.absorbing", "C.balanced"]
+
+
+def test_deciders_never_sample():
+    # a Proven or Refuted from a decider rests on an exact argument
+    assert _sampling_deciders((SRC / "sets.py").read_text(
+        encoding="utf-8")) == []

@@ -5,8 +5,7 @@ import pytest
 from evslab import sets as st
 from evslab._backend import Rat, rat
 from evslab.instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
-from evslab.setexpr import (SetExprError, parse_set_expression,
-                            render_set_expression)
+from evslab.setexpr import SetExprError, parse_set_expression
 from evslab.sets import INF, iu
 
 
@@ -25,14 +24,14 @@ def test_render_parse_round_trip_halfline():
     rng = random.Random(17)
     for _ in range(300):
         A = st.random_interval_union(rng)
-        assert parse_set_expression(render_set_expression(A)) == A
+        assert parse_set_expression(A.render()) == A
 
 
 def test_render_parse_round_trip_dict2():
     rng = random.Random(18)
     for _ in range(200):
         A = st.random_box_union(rng)
-        assert parse_set_expression(render_set_expression(A), "dict2") == A
+        assert parse_set_expression(A.render(), "dict2") == A
 
 
 def test_parse_box_union():
@@ -49,7 +48,7 @@ def test_parse_lattice_family():
     assert parse_set_expression("ALL", "lattice2").is_all()
     cof = parse_set_expression("ALL\\{span(1,0)}", "lattice2")
     assert not cof.member(line(1, 0)) and cof.member(line(0, 1))
-    rt = parse_set_expression(render_set_expression(fam), "lattice2")
+    rt = parse_set_expression(fam.render(), "lattice2")
     assert rt == fam
 
 

@@ -67,7 +67,7 @@ def test_cone_separator_cases():
     x, y = (rat(1), (sc.scalar(1),)), (rat(2), (sc.scalar(1),))
     A = radial_separator(C, x, y)
     assert A.member(x) != A.member(y)
-    assert st.is_absorbing(A, C).proven
+    assert st.is_absorbing(A).proven
     # y = theta forces the basic-set-around-theta branch
     B = radial_separator(C, x, C.zero)
     assert B.member(C.zero) and not B.member(x)

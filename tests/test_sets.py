@@ -3,6 +3,7 @@ import dataclasses
 import json
 import pickle
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as hst
 from evslab import scalars as sc
 from evslab import sets as S
 from evslab import topology
-from evslab._backend import Rat, rat
-from evslab.instances import (FULL_SUBSPACE, ZERO_SUBSPACE, half_line, line,
-                              make_instance)
+from evslab._backend import Rat, rat, rat_str
+from evslab.instances import FULL_SUBSPACE, ZERO_SUBSPACE, line, make_instance
 from evslab.sets import (ALL_SUBSPACES, INF, AnchoredBoxUnion, Box, Interval,
                          IntervalUnion, box, box_union, brute_absorbing_verdict,
                          brute_balanced_violation, interval_union, iu,
@@ -306,22 +306,6 @@ def test_slice_deciders():
     assert is_balanced(bad).refuted
 
 
-def test_predicate_set_sampling():
-    H = half_line()
-    # [0, 1] as an opaque predicate: balanced, so only Unfalsified
-    A = S.PredicateSet(lambda r: r <= 1,
-                       lambda s, n: [Rat(i, n) for i in range(n + 1)],
-                       "unit-interval")
-    out = is_balanced(A, H, 100, 42)
-    assert not out.refuted and not out.proven
-    # [1, 2] as a predicate: sampling finds the escape under shrink
-    B = S.PredicateSet(lambda r: 1 <= r <= 2,
-                       lambda s, n: [1 + Rat(i, n) for i in range(n + 1)],
-                       "shifted")
-    assert is_balanced(B, H, 100, 42).refuted
-    assert is_absorbing(B, H, 200, 42).refuted
-
-
 def test_set_with_point():
     u = set_with_point(iu((0, 1)), rat(5))
     assert u.member(rat(5)) and u.member(rat(0))
@@ -362,60 +346,55 @@ def test_product_cylinder():
     assert "ALL" in cyl.render()
 
 
-# ------------------------------------- pinned outcomes, slices/predicates
+# ------------------------------------------------ pinned outcomes, slices
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_DECIDERS = (("balanced", S.is_balanced), ("absorbing", S.is_absorbing),
+             ("bounded", partial(topology.is_bounded_set, seed=11)))
+
+
+def _decisions(A):
+    """(check, outcome) for each of the three deciders on ``A``, with
+    the exception a call raises in place of its outcome."""
+    out = []
+    for check, decide in _DECIDERS:
+        try:
+            out.append((check, decide(A)))
+        except (TypeError, ValueError) as exc:
+            out.append((check, f"{type(exc).__name__}: {exc}"))
+    return out
 
 
 def _pinned_outcome_lines():
     """``is_balanced``, ``is_absorbing`` and ``is_bounded_set`` on a few
-    product slices (over cone:1) and predicate sets (over the half line),
-    one JSON line per call: verdict, detail, public witness, or the
-    exception a call raises."""
-    cone, half = make_instance("cone:1"), half_line()
+    product slices over cone:1, one JSON line per call: verdict, detail,
+    public witness, or the exception a call raises."""
     one, i = sc.scalar(1), sc.Scalar(rat(0), rat(1))
     cases = [
-        ("ball", S.product_slice((iu((0, 2)), S.ball(1))), cone),
-        ("ball/no-descriptor", S.product_slice((iu((0, 2)), S.ball(1))),
-         None),
+        ("ball", S.product_slice((iu((0, 2)), S.ball(1)))),
         ("shifted-vectors",
-         S.product_slice((iu((1, 2)), S.finite_vectors((one,), (i,)))),
-         cone),
+         S.product_slice((iu((1, 2)), S.finite_vectors((one,), (i,))))),
         ("radial-tail", S.product_slice(
-            (iu((0, INF)), S.finite_vectors((sc.S_ZERO,)))), cone),
+            (iu((0, INF)), S.finite_vectors((sc.S_ZERO,))))),
         ("mixed", S.product_slice((iu((0, 1)), S.ball(0)),
-                                  (iu((2, 3, False, True)), S.ball(2))),
-         cone),
-        ("mixed/no-descriptor", S.product_slice(
-            (iu((0, 1)), S.ball(0)), (iu((2, 3, False, True)), S.ball(2))),
-         None),
+                                  (iu((2, 3, False, True)), S.ball(2)))),
         ("open-tail-ball", S.product_slice(
-            (iu((1, INF, False, False)), S.ball(2))), cone),
-        ("empty-slice", S.product_slice(), cone),
-        ("unit", S.PredicateSet(
-            lambda r: r <= 1, lambda s, n: [Rat(k, n) for k in range(n + 1)],
-            "unit"), half),
-        ("one-two", S.PredicateSet(
-            lambda r: 1 <= r <= 2,
-            lambda s, n: [1 + Rat(k, n) for k in range(n + 1)], "one-two"),
-         half),
-        ("tail", S.PredicateSet(
-            lambda r: r >= 3, lambda s, n: [3 + Rat(k, 3) for k in range(n)],
-            "tail"), half),
-        ("tail/no-descriptor", S.PredicateSet(
-            lambda r: r >= 3, lambda s, n: [3 + Rat(k, 3) for k in range(n)],
-            "tail"), None),
+            (iu((1, INF, False, False)), S.ball(2)))),
+        ("empty-slice", S.product_slice()),
+        ("split-zero-ball", S.product_slice(
+            (iu((0, 0, True, True)), S.ball(1)),
+            (iu((0, 1, False, False)), S.ball(1)))),
+        ("point-zero-ball", S.product_slice(
+            (iu((0, 0, True, True), (Rat(1, 2), 1)), S.ball(1)),
+            (iu((0, 1)), S.finite_vectors((sc.scalar(Rat(1, 4)),))))),
     ]
-    checks = (("balanced", S.is_balanced), ("absorbing", S.is_absorbing),
-              ("bounded", topology.is_bounded_set))
     lines = []
-    for name, A, E in cases:
-        for check, decide in checks:
+    for name, A in cases:
+        for check, out in _decisions(A):
             rec = {"set": name, "check": check}
-            try:
-                out = decide(A, E, 60, 11)
-            except (TypeError, ValueError) as exc:
-                rec["raises"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(out, str):
+                rec["raises"] = out
             else:
                 rec.update(verdict=out.verdict, detail=out.detail,
                            samplesTried=out.samples_tried, seed=out.seed)
@@ -434,30 +413,99 @@ def test_slice_and_predicate_outcomes_match_golden():
             encoding="utf-8").splitlines()
 
 
-def _decisions(A, E):
-    """Outcome of each of the three deciders on ``A``, or the exception
-    it raises."""
-    out = []
-    for decide in (S.is_balanced, S.is_absorbing, topology.is_bounded_set):
-        try:
-            o = decide(A, E, 60, 11)
-        except (TypeError, ValueError) as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
-        else:
-            out.append((o.verdict, o.detail, o.samples_tried, o.seed,
-                        {k: v for k, v in (o.witness or {}).items()
-                         if not k.startswith("_")}))
-    return out
-
-
-@pytest.mark.parametrize("E", [make_instance("cone:1"), None],
-                         ids=["cone:1", "no-descriptor"])
-def test_slice_piece_with_empty_vector_set_is_empty(E):
+def test_slice_piece_with_empty_vector_set_is_empty():
     nothing = S.finite_vectors()
     for radial in (iu((0, INF)), iu((0, 1))):
         A = S.product_slice((radial, nothing))
         assert A.is_empty()
-        assert _decisions(A, E) == _decisions(S.product_slice(), E)
+        assert _decisions(A) == _decisions(S.product_slice())
     unit = (iu((0, 1)), S.ball(1))
-    assert _decisions(S.product_slice((iu((0, INF)), nothing), unit), E) == \
-        _decisions(S.product_slice(unit), E)
+    assert _decisions(S.product_slice((iu((0, INF)), nothing), unit)) == \
+        _decisions(S.product_slice(unit))
+
+
+# ------------------------------------ cone-slice absorbency, brute grid
+
+def _units(n: int) -> list:
+    return [tuple(sc.S_ONE if j == k else sc.S_ZERO for j in range(n))
+            for k in range(n)]
+
+
+def _slice_vectors(n: int) -> list:
+    """Zero, the unit vectors, and a few vectors off the unit axes."""
+    zero = tuple(sc.S_ZERO for _ in range(n))
+    e1 = _units(n)[0]
+    return [zero, *_units(n), tuple(sc.S_I * v for v in e1),
+            tuple(sc.scalar(Rat(1, 2)) * v for v in e1),
+            tuple(sc.scalar(Rat(1, 4)) * v for v in e1),
+            tuple(sc.S_ONE for _ in range(n))]
+
+
+def _random_slice(rng: random.Random, n: int) -> S.ProductSlice:
+    """1-3 pieces: a random interval union (with the point 0 adjoined to
+    a third of them, so that {0} is often a 0-component) times ball(0),
+    ball(1/2), ball(1) or a set of one or two vectors (the zero vector
+    among them)."""
+    vecs = _slice_vectors(n)
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        radial = random_interval_union(rng)
+        if rng.random() < 1 / 3:
+            radial = radial.with_point(rat(0))
+        k = rng.randrange(4)
+        region = S.ball((0, Rat(1, 2), 1)[k]) if k < 3 else \
+            S.finite_vectors(*rng.sample(vecs, rng.randint(1, 2)))
+        pieces.append((radial, region))
+    return S.product_slice(*pieces)
+
+
+_ALPHAS = [Rat(1, 8 ** k) for k in range(5)]
+_MU_UNITS = [sc.S_ONE, sc.S_MINUS_ONE, sc.S_I,
+             sc.Scalar(Rat(3, 5), Rat(4, 5))]
+_MU_SHRINKS = [sc.scalar(c) for c in (1, Rat(1, 3), Rat(1, 64),
+                                       Rat(1, 4096))]
+
+
+def _brute_slice_absorbing(A, E) -> bool:
+    """The absorbency definition over grids, from ``A.member`` and
+    ``E.scale`` alone: every grid x has a grid alpha such that mu.x is
+    in A for every grid mu with |mu| <= alpha (0, and alpha times a
+    shrink and a unit, real and complex).  The x-grid crosses radii 0
+    to 3 with the zero vector, the unit vectors and a few others; every
+    positive endpoint of ``random_interval_union`` is at least 1/8, so
+    the shrinks reach below every gap the radial parts can have."""
+    n = len(E.zero[1])
+    xs = [(rat(r), v) for r in (0, Rat(1, 8), 1, 3)
+          for v in _slice_vectors(n)]
+    for x in xs:
+        if not any(all(A.member(E.scale(mu, x))
+                       for mu in [sc.S_ZERO] + [
+                           sc.scalar(a) * s * u for s in _MU_SHRINKS
+                           for u in _MU_UNITS])
+                   for a in _ALPHAS):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slice_absorbing_matches_brute_grid(n):
+    E, e1 = make_instance(f"cone:{n}"), _units(n)[0]
+    rng = random.Random(2006 + n)
+    # [0,1) x ball(1), though no single piece has the form [0,s) x ball(t)
+    split = S.product_slice((iu((0, 0, True, True)), S.ball(1)),
+                            (iu((0, 1, False, False)), S.ball(1)))
+    assert is_absorbing(split).proven
+    verdicts = set()
+    for A in [split] + [_random_slice(rng, n) for _ in range(120)]:
+        out = is_absorbing(A)
+        verdicts.add(out.verdict)
+        assert out.verdict in ("Proven", "Refuted"), A.render()
+        assert out.proven == _brute_slice_absorbing(A, E), A.render()
+        if out.refuted:
+            r, g = out.witness["_raw"]
+            assert out.witness["x"] == f"({rat_str(r)}, e1)"
+            for mu in [g * Rat(k, 8) for k in range(1, 8)] + [g / 1000]:
+                assert not A.member(E.scale(sc.scalar(mu), (r, e1))), \
+                    (A.render(), mu)
+    assert verdicts == {"Proven", "Refuted"}
+

@@ -8,7 +8,7 @@ import pytest
 
 from evslab import sets as st
 from evslab import topology as tp
-from evslab._backend import Rat, rat
+from evslab._backend import Rat
 from evslab.instances import half_line, make_instance
 from evslab.outcome import PAIR_CAP
 from evslab.setexpr import parse_set_expression
@@ -58,16 +58,6 @@ def test_bounded_examples():
     out = is_bounded_set(iu((1, INF)))
     assert out.refuted
     assert out.witness["lambda_n"] == "1/n"
-
-
-def test_bounded_predicate_falsifier():
-    H = half_line()
-    A = st.PredicateSet(lambda r: True, lambda s, n: [rat(i) for i in range(n)],
-                        "everything")
-    assert is_bounded_set(A, H, 50, 42).refuted
-    B = st.PredicateSet(lambda r: r < Rat(1, 2), lambda s, n: [],
-                        "small")
-    assert not is_bounded_set(B, H, 50, 42).refuted
 
 
 def test_bounded_verdict_survives_optimize_flag():
