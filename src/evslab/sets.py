@@ -738,7 +738,8 @@ class ProductSlice:
         if ok:
             return proven("every piece is [0,s)-style x ball")
         # fall back to a scan for an explicit violation over piece endpoints
-        for iupart, reg in self._nonempty_pieces():
+        pieces = self._nonempty_pieces()
+        for iupart, reg in pieces:
             if iupart.contains_zero():
                 continue
             r = iupart.components[0].rep_point()
@@ -750,7 +751,7 @@ class ProductSlice:
                     return refuted(lambda: {"x": f"({rat_str(r)}, ...)",
                                             "alpha": "0", "_raw": (x, ZERO)},
                                    detail="0.x = theta is outside A")
-        return unfalsified(len(self.pieces), 0,
+        return unfalsified(len(pieces), 0,
                            "no exact criterion; no violation found on "
                            "endpoints")
 

@@ -413,13 +413,19 @@ def test_slice_and_predicate_outcomes_match_golden():
             encoding="utf-8").splitlines()
 
 
-def test_slice_piece_with_empty_vector_set_is_empty():
+@pytest.mark.parametrize("beside", ["cone:1", "no-descriptor"])
+def test_slice_piece_with_empty_vector_set_is_empty(beside):
+    """A piece whose vector set is empty adds nothing, alone or beside a
+    nonempty piece: one listing the vectors of cone:1, or a ball, which
+    names no space."""
     nothing = S.finite_vectors()
     for radial in (iu((0, INF)), iu((0, 1))):
         A = S.product_slice((radial, nothing))
         assert A.is_empty()
         assert _decisions(A) == _decisions(S.product_slice())
-    unit = (iu((0, 1)), S.ball(1))
+    vectors = (S.finite_vectors(*_slice_vectors(1)) if beside == "cone:1"
+               else S.ball(1))
+    unit = (iu((0, 1)), vectors)
     assert _decisions(S.product_slice((iu((0, INF)), nothing), unit)) == \
         _decisions(S.product_slice(unit))
 
