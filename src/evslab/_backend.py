@@ -213,6 +213,32 @@ def rat(num, den=1):
     return Rat(num, den)
 
 
+def draw_int(rng, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``: the same value, leaving ``rng`` in the same
+    state.  It runs the ``getrandbits(k)`` rejection loop of
+    ``random.Random._randbelow`` without ``randrange``'s argument checks,
+    so it needs ``lo <= hi`` as ints.  ``tests/test_backend.py`` pins the
+    equality on twin streams, so a change to ``randrange`` fails there
+    by name."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def draw_rat(rng, lo: int, hi: int, den_hi: int):
+    """``Rat(rng.randint(lo, hi), rng.randint(1, den_hi))``, drawn in
+    that order through :func:`draw_int`."""
+    p = draw_int(rng, lo, hi)
+    q = draw_int(rng, 1, den_hi)
+    if Rat is _PureRat:
+        g = math.gcd(p, q)
+        return _new(p // g, q // g)
+    return Rat(p, q)
+
+
 ZERO = rat(0)
 ONE = rat(1)
 

@@ -11,7 +11,8 @@ reported for laws an instance has flagged as exactly verified.
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from . import scalars as sc
@@ -116,13 +117,27 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
     """The axiom suite, one row per id: ``(id, arity, cases(n, s), holds,
     keys, detail)``.  ``cases`` draws ``n`` samples per variable under
     the subseed ``s``; each draw is a list of tuples, built once, and a
-    case joins one tuple of each draw in nested-loop order."""
+    case joins one tuple of each draw in nested-loop order.
+
+    A case carries its keyed entries first and then the objects its law
+    builds from fewer than all of them, each built once for the entries
+    it depends on: ``A1.assoc`` holds ``(x, y, z, x+y, y+z)``, ``A3.i``
+    ``(a, x, y, x+y, a.x, a.y)``, ``A3.ii`` ``(a, b, x, ab)`` and
+    ``A3.iii`` ``(a, b, x, a+b)``.  Witnesses read only the keyed
+    entries, so they are those of the law without the hoisted ones."""
     def grid(*draws):
-        return lambda n, s: (sum(c, ()) for c in
-                             product(*[d(n, s) for d in draws]))
+        def cases(n, s):
+            joined, *rest = [d(n, s) for d in draws]
+            for more in rest:
+                joined = starmap(add, product(joined, more))
+            return joined
+        return cases
+
+    def sample(n, s, var):
+        return E.sample(subseed(s, var), n)
 
     def elements(var):
-        return lambda n, s: [(x,) for x in E.sample(subseed(s, var), n)]
+        return lambda n, s: [(x,) for x in sample(n, s, var)]
 
     def alphas(n, s):
         return _scalar_tuples(E, 1, n, subseed(s, "alpha"))
@@ -134,16 +149,39 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
         return E.comparable_pairs(subseed(s, "pairs"), n)
 
     def primitive(forward):
-        return lambda n, s: ((x,) for x in E.sample(subseed(s, "x"), n)
+        return lambda n, s: ((x,) for x in sample(n, s, "x")
                              if E.is_primitive(x) == forward)
+
+    def assoc_cases(n, s):
+        xs, ys, zs = sample(n, s, "x"), sample(n, s, "y"), sample(n, s, "z")
+        yzs = [[E.add(y, z) for z in zs] for y in ys]
+        return ((x, y, z, xy, yz) for x in xs
+                for y, yz_row in zip(ys, yzs) for xy in [E.add(x, y)]
+                for z, yz in zip(zs, yz_row))
+
+    def distributive_cases(n, s):
+        lams = [t[0] for t in alphas(n, s)]
+        xs, ys = sample(n, s, "x"), sample(n, s, "y")
+        xys = [[E.add(x, y) for y in ys] for x in xs]
+        return ((a, x, y, xy, ax, ay) for a in lams
+                for ays in [[E.scale(a, y) for y in ys]]
+                for x, xy_row in zip(xs, xys) for ax in [E.scale(a, x)]
+                for y, xy, ay in zip(ys, xy_row, ays))
+
+    def scalar_pair_cases(op):
+        def cases(n, s):
+            abcs = [(a, b, op(a, b)) for a, b in alpha_betas(n, s)]
+            xs = sample(n, s, "x")
+            return ((a, b, x, ab) for a, b, ab in abcs for x in xs)
+        return cases
 
     def inverse_sum_is_theta(x):
         return E.eq(E.add(x, E.scale(sc.S_MINUS_ONE, x)), E.zero)
 
     xs, ys, zs = elements("x"), elements("y"), elements("z")
     return (
-        ("A1.assoc", 3, grid(xs, ys, zs),
-         lambda x, y, z: E.eq(E.add(E.add(x, y), z), E.add(x, E.add(y, z))),
+        ("A1.assoc", 3, assoc_cases,
+         lambda x, y, z, xy, yz: E.eq(E.add(xy, z), E.add(x, yz)),
          ("x", "y", "z"), "(x+y)+z != x+(y+z)"),
         ("A1.comm", 2, grid(xs, ys),
          lambda x, y: E.eq(E.add(x, y), E.add(y, x)),
@@ -156,16 +194,15 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
         ("A2.scale", 2, grid(pairs, alphas),
          lambda x, y, a: E.leq(E.scale(a, x), E.scale(a, y)),
          ("x", "y", "alpha"), "x<=y but a.x !<= a.y"),
-        ("A3.i", 3, grid(alphas, xs, ys),
-         lambda a, x, y: E.eq(E.scale(a, E.add(x, y)),
-                              E.add(E.scale(a, x), E.scale(a, y))),
+        ("A3.i", 3, distributive_cases,
+         lambda a, x, y, xy, ax, ay: E.eq(E.scale(a, xy), E.add(ax, ay)),
          ("alpha", "x", "y"), "a.(x+y) != a.x + a.y"),
-        ("A3.ii", 3, grid(alpha_betas, xs),
-         lambda a, b, x: E.eq(E.scale(a, E.scale(b, x)), E.scale(a * b, x)),
+        ("A3.ii", 3, scalar_pair_cases(mul),
+         lambda a, b, x, ab: E.eq(E.scale(a, E.scale(b, x)), E.scale(ab, x)),
          ("alpha", "beta", "x"), "a.(b.x) != (ab).x"),
-        ("A3.iii", 3, grid(alpha_betas, xs),
-         lambda a, b, x: E.leq(E.scale(a + b, x),
-                               E.add(E.scale(a, x), E.scale(b, x))),
+        ("A3.iii", 3, scalar_pair_cases(add),
+         lambda a, b, x, a_b: E.leq(E.scale(a_b, x),
+                                    E.add(E.scale(a, x), E.scale(b, x))),
          ("alpha", "beta", "x"), "(a+b).x !<= a.x + b.x"),
         ("A3.iv", 1, grid(xs),
          lambda x: E.eq(E.scale(sc.S_ONE, x), x), ("x",), "1.x != x"),
@@ -180,7 +217,7 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
          lambda x: not inverse_sum_is_theta(x),
          ("x",), "x not primitive but x+(-1).x = theta"),
         ("A6", 1, lambda n, s: ((x, E.primitive_witness(x))
-                                for x in E.sample(subseed(s, "x"), n)),
+                                for x in sample(n, s, "x")),
          lambda x, p: E.is_primitive(p) and E.leq(p, x),
          ("x", "p"), "primitive witness invalid"),
     )
@@ -205,9 +242,10 @@ def check_primitive_scaling(E: EvsDescriptor, budget: int,
     xs = E.sample(subseed(seed, "x"), n)
     alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
     exact = E.primitive_set is not None
+    px_seed, pax_seed = subseed(seed, "px"), subseed(seed, "pax")
 
     def holds(x, a, px):
-        pax = primitive_samples(E, E.scale(a, x), n, subseed(seed, "pax"))
+        pax = primitive_samples(E, E.scale(a, x), n, pax_seed)
         scaled = [E.scale(a, p) for p in px]
         fwd = all(any(E.eq(s, q) for q in pax) for s in scaled)
         bwd = not exact or all(any(E.eq(q, s) for s in scaled) for q in pax)
@@ -216,7 +254,7 @@ def check_primitive_scaling(E: EvsDescriptor, budget: int,
     # P_x is found once per x, when the walk reaches it
     return check_law(
         ((x, a, px) for x in xs
-         for px in [primitive_samples(E, x, n, subseed(seed, "px"))]
+         for px in [primitive_samples(E, x, n, px_seed)]
          for a in alphas),
         holds, _wit(E, "x", "alpha"), "P_{a.x} != a.P_x", seed,
         "exact primitive sets compared on all samples" if exact else None)
@@ -253,14 +291,32 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
     # preimage conditions on sampled pools
     pool = E_X.sample(subseed(seed, "pool"), 2 * n)
     images = [f(x) for x in pool]
-    # the sampled preimage of each pool point's image, built once
-    pre = [[x for x, fx in zip(pool, images) if E_Y.eq(fx, p)]
-           for p in images]
+    # equal images form one class, whose sampled preimage is built once
+    reps, pre, cls = [], [], []
+    for x, fx in zip(pool, images):
+        for c, r in enumerate(reps):
+            if E_Y.eq(fx, r):
+                break
+        else:
+            c = len(reps)
+            reps.append(fx)
+            pre.append([])
+        pre[c].append(x)
+        cls.append(c)
+    # samples a pair of classes adds once it has passed, 0 if not ordered
+    settled = {}
     for i, p in enumerate(images):
         for j, q in enumerate(images):
-            if i == j or not E_Y.leq(p, q):
+            if i == j:
                 continue
-            pre_p, pre_q = pre[i], pre[j]
+            key = cls[i], cls[j]
+            if key in settled:
+                tried += settled[key]
+                continue
+            pre_p, pre_q = pre[key[0]], pre[key[1]]
+            if not E_Y.leq(p, q):
+                settled[key] = 0
+                continue
             for x in pre_p:
                 tried += 1
                 if not any(E_X.leq(x, y) for y in pre_q):
@@ -275,6 +331,7 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
                         {"p": E_Y.render(p), "q": E_Y.render(q),
                          "y": E_X.render(y)}, tried, seed,
                         "y in f^-1(q) not above any found member of f^-1(p)")
+            settled[key] = len(pre_p) + len(pre_q)
     return unfalsified(tried, seed)
 
 
@@ -329,12 +386,18 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
     def sample(seed, count):
         cols = [p.sample(subseed(seed, f"part{i}"), count)
                 for i, p in enumerate(parts)]
-        return [tuple(col[j] for col in cols) for j in range(count)]
+        return list(zip(*cols))
 
     def upward(x, rng):
         return tuple(
             p.upward(xi, rng) if p.upward is not None else xi
             for p, xi in zip(parts, x))
+
+    def leq(x, y):
+        for p, a, b in zip(parts, x, y):
+            if not p.leq(a, b):
+                return False
+        return True
 
     prim_set = None
     if all(p.primitive_set is not None for p in parts):
@@ -346,13 +409,13 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
         name="product(" + ",".join(p.name for p in parts) + ")",
         element_kind="product",
         zero=tuple(p.zero for p in parts),
-        add=lambda x, y: tuple(p.add(a, b) for p, a, b in zip(parts, x, y)),
-        scale=lambda l, x: tuple(p.scale(l, a) for p, a in zip(parts, x)),
-        leq=lambda x, y: all(p.leq(a, b) for p, a, b in zip(parts, x, y)),
+        add=lambda x, y: tuple([p.add(a, b) for p, a, b in zip(parts, x, y)]),
+        scale=lambda l, x: tuple([p.scale(l, a) for p, a in zip(parts, x)]),
+        leq=leq,
         is_primitive=lambda x: all(
             p.is_primitive(a) for p, a in zip(parts, x)),
         primitive_witness=lambda x: tuple(
-            p.primitive_witness(a) for p, a in zip(parts, x)),
+            [p.primitive_witness(a) for p, a in zip(parts, x)]),
         sample=sample,
         scalar_mode=mode,
         exact_sets=("ProductCylinder",),

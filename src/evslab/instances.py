@@ -6,23 +6,24 @@ action fixing the radial coordinate, the dictionary-order plane and the
 lattice of linear subspaces of Q^2 in canonical echelon form.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import scalars as sc
-from ._backend import ONE, ZERO, Rat, rat, rat_str
+from ._backend import ONE, ZERO, draw_int, draw_rat, rat, rat_str
 from .core import AXIOM_IDS, EvsDescriptor
 
 
 def _rand_nonneg_rat(rng: random.Random, height: int = 6):
-    return Rat(rng.randint(0, height), rng.randint(1, height))
+    return draw_rat(rng, 0, height, height)
 
 
 def _rand_scalar(rng: random.Random, height: int = 5) -> sc.Scalar:
-    a, p = rng.randint(-height, height), rng.randint(1, height)
+    a, p = draw_int(rng, -height, height), draw_int(rng, 1, height)
     if rng.random() < 0.4:
-        b, q = rng.randint(-height, height), rng.randint(1, height)
+        b, q = draw_int(rng, -height, height), draw_int(rng, 1, height)
     else:
         b, q = 0, 1
     return sc.from_ints(a, p, b, q)
@@ -76,7 +77,7 @@ def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
         rng = random.Random(seed)
         out = [(ZERO, zero_vec)]
         while len(out) < count:
-            vec = tuple(_rand_scalar(rng, 3) for _ in range(n))
+            vec = tuple([_rand_scalar(rng, 3) for _ in range(n)])
             out.append((_rand_nonneg_rat(rng), vec))
         return out[:count]
 
@@ -85,7 +86,7 @@ def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
         element_kind=kind,
         zero=(ZERO, zero_vec),
         add=lambda x, y: (x[0] + y[0],
-                          tuple(a + b for a, b in zip(x[1], y[1]))),
+                          tuple(map(operator.add, x[1], y[1]))),
         scale=scale,
         leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
         is_primitive=lambda x: x[0] == 0,
@@ -101,7 +102,7 @@ def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
 
 def _cone_scale(lam, x):
     r, a = x
-    return (sc.modulus(lam) * r, tuple(lam * v for v in a))
+    return (sc.modulus(lam) * r, tuple(map(lam.__mul__, a)))
 
 
 def cone_product(n: int) -> EvsDescriptor:
@@ -113,8 +114,8 @@ def cone_product(n: int) -> EvsDescriptor:
 def _twisted_scale(lam, x):
     r, a = x
     if lam.is_zero():
-        return (ZERO, tuple(sc.S_ZERO for _ in a))
-    return (r, tuple(lam * v for v in a))
+        return (ZERO, (sc.S_ZERO,) * len(a))
+    return (r, tuple(map(lam.__mul__, a)))
 
 
 def twisted_product(n: int) -> EvsDescriptor:
@@ -213,8 +214,7 @@ def subspace_lattice() -> EvsDescriptor:
         out = [ZERO_SUBSPACE, FULL_SUBSPACE, line(1, 0), line(0, 1)]
         out = out[: max(0, min(4, count))]
         while len(out) < count:
-            out.append(line(rng.randint(1, 6),
-                            Rat(rng.randint(-6, 6), rng.randint(1, 6))))
+            out.append(line(draw_int(rng, 1, 6), draw_rat(rng, -6, 6, 6)))
         return out[:count]
 
     def render(y):
@@ -239,8 +239,8 @@ def subspace_lattice() -> EvsDescriptor:
         exact_sets=("LatticeFamily",),
         render=render,
         primitive_set=lambda y: [ZERO_SUBSPACE],
-        upward=lambda y, rng: span_join(y, rng.choice(
-            [FULL_SUBSPACE, line(1, 1), line(1, 0), y])),
+        upward=lambda y, rng: span_join(y, (
+            FULL_SUBSPACE, line(1, 1), line(1, 0), y)[draw_int(rng, 0, 3)]),
     )
 
 

@@ -21,7 +21,8 @@ pool across their nested loops; :func:`modulus` reads that slot directly.
 import math
 import random
 
-from ._backend import ZERO, Rat, rat, rat_parse, rat_sqrt, rat_str
+from ._backend import (ZERO, Rat, _PureRat, draw_int, draw_rat, rat,
+                       rat_parse, rat_sqrt, rat_str)
 
 ANY_SCALAR = "AnyScalar"
 PYTHAGOREAN_ONLY = "PythagoreanOnly"
@@ -39,6 +40,9 @@ class Scalar:
     __slots__ = ("_a", "_b", "_d", "_modulus")
 
     def __new__(cls, re, im):
+        if type(re) is _PureRat and type(im) is _PureRat:
+            return from_ints(re._numerator, re._denominator,
+                             im._numerator, im._denominator)
         return from_ints(int(re.numerator), int(re.denominator),
                          int(im.numerator), int(im.denominator))
 
@@ -204,7 +208,12 @@ PYTHAGOREAN_UNITS = (
 
 
 def _random_rat(rng: random.Random, height: int = 6):
-    return Rat(rng.randint(-height, height), rng.randint(1, height))
+    return draw_rat(rng, -height, height, height)
+
+
+def _random_unit(rng: random.Random) -> Scalar:
+    """``rng.choice(PYTHAGOREAN_UNITS)``, drawn through ``draw_int``."""
+    return PYTHAGOREAN_UNITS[draw_int(rng, 0, len(PYTHAGOREAN_UNITS) - 1)]
 
 
 def sample_scalars(radius_bound, count: int, seed: int, mode: str = ANY_SCALAR):
@@ -229,7 +238,7 @@ def sample_scalars(radius_bound, count: int, seed: int, mode: str = ANY_SCALAR):
         if q > radius_bound:
             q = radius_bound * q.denominator / (q.denominator + abs(q.numerator))
         if mode == PYTHAGOREAN_ONLY:
-            u = rng.choice(PYTHAGOREAN_UNITS)
+            u = _random_unit(rng)
             lam = scale_unit(u, q)
         else:
             if rng.random() < 0.5:
@@ -275,7 +284,7 @@ def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,
     out.append(tuple(specials[i % len(specials)] for i in range(k)))
     while len(out) < count:
         if mode == PYTHAGOREAN_ONLY:
-            u = rng.choice(PYTHAGOREAN_UNITS)
+            u = _random_unit(rng)
             tup = tuple(scale_unit(u, _random_rat(rng, height)) for _ in range(k))
         else:
             tup = tuple(

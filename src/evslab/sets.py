@@ -51,7 +51,7 @@ from operator import attrgetter
 from typing import Sequence, Tuple
 
 from . import scalars as sc
-from ._backend import ONE, ZERO, Rat, rat, rat_str
+from ._backend import ONE, ZERO, Rat, draw_int, draw_rat, rat, rat_str
 from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
 from .outcome import CheckOutcome, proven, refuted, unfalsified
 
@@ -726,31 +726,31 @@ class ProductSlice:
             (iu((r, r, True, True)), finite_vectors(a)),))
 
     def balanced(self) -> CheckOutcome:
+        """Proven when every piece is [0,s)-style x ball.  Refuted when
+        theta is outside A, since 0.x = theta for every x in A: theta
+        is in A iff some piece has 0 in its radial part and a ball
+        (which holds the zero vector of every dimension) or a listed
+        zero vector.  The witness x is a point of the first piece, with
+        vector ``None`` in ``_raw`` and ``0`` in ``x`` when that piece
+        is a ball.  Otherwise Unfalsified."""
         if self.is_empty():
             raise ValueError("empty set")
-        ok = True
-        for iupart, reg in self._nonempty_pieces():
-            comps = iupart.components
-            star = len(comps) == 1 and comps[0].lo == 0 and \
-                comps[0].lo_closed
-            if not (star and reg.kind == BALL):
-                ok = False
-        if ok:
-            return proven("every piece is [0,s)-style x ball")
-        # fall back to a scan for an explicit violation over piece endpoints
         pieces = self._nonempty_pieces()
-        for iupart, reg in pieces:
-            if iupart.contains_zero():
-                continue
+        if all(reg.kind == BALL and len(iupart.components) == 1
+               and iupart.components[0].lo == 0
+               and iupart.components[0].lo_closed
+               for iupart, reg in pieces):
+            return proven("every piece is [0,s)-style x ball")
+        if not any(iupart.contains_zero() and (reg.kind == BALL or any(
+                all(c.is_zero() for c in v) for v in reg.vectors))
+                for iupart, reg in pieces):
+            iupart, reg = pieces[0]
             r = iupart.components[0].rep_point()
-            if reg.kind == FINITE_VECTORS:
-                a = reg.vectors[0]
-                x = (r, a)
-                # alpha = 0 sends x to theta; theta may be missing
-                if not self.member((ZERO, tuple(sc.S_ZERO for _ in a))):
-                    return refuted(lambda: {"x": f"({rat_str(r)}, ...)",
-                                            "alpha": "0", "_raw": (x, ZERO)},
-                                   detail="0.x = theta is outside A")
+            a, shown = ((reg.vectors[0], "...") if reg.kind == FINITE_VECTORS
+                        else (None, "0"))
+            return refuted(lambda: {"x": f"({rat_str(r)}, {shown})",
+                                    "alpha": "0", "_raw": ((r, a), ZERO)},
+                           detail="0.x = theta is outside A")
         return unfalsified(len(pieces), 0,
                            "no exact criterion; no violation found on "
                            "endpoints")
@@ -905,19 +905,19 @@ def is_absorbing(A) -> CheckOutcome:
 def random_interval_union(rng: random.Random, max_components: int = 3,
                           height: int = 8) -> IntervalUnion:
     """Small random interval unions with frequent boundary cases."""
-    n = rng.randint(1, max_components)
+    n = draw_int(rng, 1, max_components)
     pieces = []
     for i in range(n):
         if i == 0 and rng.random() < 0.55:
             lo = ZERO
             lo_closed = rng.random() < 0.8
         else:
-            lo = Rat(rng.randint(0, height), rng.randint(1, height))
+            lo = draw_rat(rng, 0, height, height)
             lo_closed = rng.random() < 0.5
         if rng.random() < 0.1:
             hi, hi_closed = INF, False
         else:
-            width = Rat(rng.randint(0, height), rng.randint(1, height))
+            width = draw_rat(rng, 0, height, height)
             hi = lo + width
             hi_closed = rng.random() < 0.5
         pieces.append(_iv(lo, lo_closed, hi, hi_closed))
@@ -930,9 +930,9 @@ def random_interval_union(rng: random.Random, max_components: int = 3,
 def random_box_union(rng: random.Random, max_boxes: int = 3,
                      height: int = 6) -> AnchoredBoxUnion:
     boxes = []
-    for _ in range(rng.randint(1, max_boxes)):
-        a = Rat(rng.randint(0, height), rng.randint(1, height))
-        b = Rat(rng.randint(0, height), rng.randint(1, height))
+    for _ in range(draw_int(rng, 1, max_boxes)):
+        a = draw_rat(rng, 0, height, height)
+        b = draw_rat(rng, 0, height, height)
         boxes.append(Box(INF if rng.random() < 0.05 else a,
                          rng.random() < 0.4,
                          INF if rng.random() < 0.05 else b,

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 from . import scalars as sc
 from . import sets as st
-from ._backend import ONE, ZERO, Rat, rat, rat_str
+from ._backend import ONE, ZERO, Rat, draw_int, draw_rat, rat, rat_str
 from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
                       rendered, subseed, unfalsified)
 from .sets import INF, Interval, IntervalUnion, interval_union, iu
@@ -104,8 +104,7 @@ def check_bounded_laws(E, budget: int, seed: int) -> dict:
     bounded = [A for A in corpus if is_bounded_set(A).proven]
     finite_sets = []
     for _ in range(n):
-        pts = [abs(Rat(rng.randint(0, 40), rng.randint(1, 8)))
-               for _ in range(rng.randint(1, 5))]
+        pts = [draw_rat(rng, 0, 40, 8) for _ in range(draw_int(rng, 1, 5))]
         finite_sets.append((iu(*[(p, p, True, True) for p in pts]), max(pts)))
     compacts = [_make_compact(A) for A in corpus]
     lams = sc.sample_scalars(rat(5), 8, subseed(seed, "bnd:lam"),
@@ -241,8 +240,8 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
     rng = random.Random(subseed(seed, "lb:iv"))
     pairs = []
     while len(pairs) < max(8, budget // 4):
-        x = step * rng.randint(0, 30)
-        y = step * rng.randint(0, 30)
+        x = step * draw_int(rng, 0, 30)
+        y = step * draw_int(rng, 0, 30)
         if x != y:
             pairs.append((max(x, y), min(x, y)))
     bad = next(((x, y) for x, y in pairs if not any(

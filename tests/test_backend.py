@@ -1,5 +1,5 @@
-"""The pure rational type against ``fractions.Fraction``, and the backend
-switch ``EVSLAB_BACKEND``."""
+"""The pure rational type against ``fractions.Fraction``, the backend
+switch ``EVSLAB_BACKEND`` and the seeded draw helpers."""
 
 import copy
 import importlib.util
@@ -8,6 +8,7 @@ import numbers
 import operator
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as hst
 
-from evslab._backend import _PureRat
+from evslab._backend import Rat, _PureRat, draw_int, draw_rat
 
 # small values hit the zero, sign and common-factor cases; large ones
 # overflow every machine word
@@ -168,3 +169,22 @@ def test_backend_switch_gmpy2_without_gmpy2_is_an_import_error():
     res = _import_backend("gmpy2")
     assert res.returncode != 0
     assert "ImportError" in res.stderr or "ModuleNotFoundError" in res.stderr
+
+
+@pytest.mark.parametrize("lo", [-40, -6, -1, 0, 1, 7])
+def test_draws_equal_randint_and_choice_on_twin_streams(lo):
+    """Every width 1-70 (powers of two among them), interleaved with
+    ``random()``: a change to ``randrange`` or ``choice`` fails here by
+    name instead of shifting every seeded golden."""
+    ours, ref = random.Random(lo), random.Random(lo)
+    for width in range(1, 71):
+        hi = lo + width - 1
+        seq = list(range(lo, hi + 1))
+        for _ in range(25):
+            assert draw_int(ours, lo, hi) == ref.randint(lo, hi)
+            assert ours.random() == ref.random()
+            assert seq[draw_int(ours, 0, width - 1)] == ref.choice(seq)
+            q = Rat(ref.randint(lo, hi), ref.randint(1, width))
+            # equal reprs: the same canonical numerator and denominator
+            assert repr(draw_rat(ours, lo, hi, width)) == repr(q)
+    assert ours.getstate() == ref.getstate()

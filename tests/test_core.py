@@ -127,6 +127,94 @@ def test_order_morphism_golden_preimage_refutation():
         "p": "0", "q": "5/4", "x": "(0, (0, 0))"}
 
 
+def _reference_order_morphism(f, E_X, E_Y, budget, seed):
+    """``check_order_morphism`` with its preimage pass as it was before
+    equal images were grouped: every ordered pair of pool indices runs
+    both ``any`` loops."""
+    n = per_variable_budget(budget, 2)
+    xs = E_X.sample(subseed(seed, "x"), n)
+    ys = E_X.sample(subseed(seed, "y"), n)
+    mode = sc.PYTHAGOREAN_ONLY if sc.PYTHAGOREAN_ONLY in (
+        E_X.scalar_mode, E_Y.scalar_mode) else sc.ANY_SCALAR
+    alphas = [t[0] for t in sc.sample_scalar_tuples(
+        1, n, subseed(seed, "alpha"), mode)]
+    tried = 0
+    for x in xs:
+        for y in ys:
+            tried += 1
+            if not E_Y.eq(f(E_X.add(x, y)), E_Y.add(f(x), f(y))):
+                return ("Refuted", tried, {"x": E_X.render(x),
+                                           "y": E_X.render(y)},
+                        "f(x+y) != f(x)+f(y)")
+    for x in xs:
+        for a in alphas:
+            tried += 1
+            if not E_Y.eq(f(E_X.scale(a, x)), E_Y.scale(a, f(x))):
+                return ("Refuted", tried, {"x": E_X.render(x),
+                                           "alpha": sc.render_scalar(a)},
+                        "f(a.x) != a.f(x)")
+    for x, y in E_X.comparable_pairs(subseed(seed, "pairs"), n):
+        tried += 1
+        if not E_Y.leq(f(x), f(y)):
+            return ("Refuted", tried, {"x": E_X.render(x),
+                                       "y": E_X.render(y)},
+                    "x<=y but f(x) !<= f(y)")
+    pool = E_X.sample(subseed(seed, "pool"), 2 * n)
+    images = [f(x) for x in pool]
+    pre = [[x for x, fx in zip(pool, images) if E_Y.eq(fx, p)]
+           for p in images]
+    for i, p in enumerate(images):
+        for j, q in enumerate(images):
+            if i == j or not E_Y.leq(p, q):
+                continue
+            for x in pre[i]:
+                tried += 1
+                if not any(E_X.leq(x, y) for y in pre[j]):
+                    return ("Refuted", tried,
+                            {"p": E_Y.render(p), "q": E_Y.render(q),
+                             "x": E_X.render(x)},
+                            "x in f^-1(p) not below any found member of "
+                            "f^-1(q)")
+            for y in pre[j]:
+                tried += 1
+                if not any(E_X.leq(x, y) for x in pre[i]):
+                    return ("Refuted", tried,
+                            {"p": E_Y.render(p), "q": E_Y.render(q),
+                             "y": E_X.render(y)},
+                            "y in f^-1(q) not above any found member of "
+                            "f^-1(p)")
+    return ("Unfalsified", tried, {}, "")
+
+
+def _projection():
+    return lambda x: x[0], cone_product(2), half_line()
+
+
+@pytest.mark.parametrize("name", ["doubling", "embed", "shift", "square",
+                                  "projection"])
+def test_order_morphism_matches_reference_preimage_loop(name):
+    """Grouping equal images keeps verdict, count, public witness and
+    detail.  The cone:2 -> halfline projection reaches the preimage
+    pass, which no shipped morphism does."""
+    if name == "projection":
+        f, E_X, E_Y = _projection()
+    else:
+        phi = MORPHISMS[name]()
+        f, E_X, E_Y = phi.forward, phi.domain, phi.codomain
+    details = set()
+    for budget in (50, 300, 500):
+        for seed in range(40):
+            out = check_order_morphism(f, E_X, E_Y, budget, seed)
+            public = {k: v for k, v in (out.witness or {}).items()
+                      if not k.startswith("_")}
+            assert (out.verdict, out.samples_tried, public, out.detail) == \
+                _reference_order_morphism(f, E_X, E_Y, budget, seed), \
+                (budget, seed)
+            details.add(out.detail.split(" ")[0])
+    if name == "projection":
+        assert details <= {"x", "y"}  # every run ends in the preimage pass
+
+
 def test_subevs_zero_vector_slice_of_cone():
     C = cone_product(1)
     member = lambda x: all(v == sc.S_ZERO for v in x[1])

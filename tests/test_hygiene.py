@@ -1,7 +1,8 @@
-"""Source hygiene: every name a library module imports is used there.
-
-``__init__.py`` is exempt because its imports are the package's public
-re-exports.
+"""Source hygiene: every name a library module imports is used there
+(``__init__.py`` is exempt because its imports are the package's public
+re-exports), every function is reached, no verdict rests on an
+``assert``, no decider samples and every seeded draw goes through the
+``_backend`` draw helpers.
 """
 
 import ast
@@ -181,3 +182,33 @@ def test_deciders_never_sample():
     # a Proven or Refuted from a decider rests on an exact argument
     assert _sampling_deciders((SRC / "sets.py").read_text(
         encoding="utf-8")) == []
+
+
+_SLOW_DRAWS = ("randint", "randrange", "choice")
+
+
+def _slow_draws(source: str) -> list:
+    """``(line, method)`` for every call of a method named ``randint``,
+    ``randrange`` or ``choice``: seeded draws go through
+    ``_backend.draw_int``, which gives the same value from the same
+    stream without ``randrange``'s argument checks."""
+    return sorted((n.lineno, n.func.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in _SLOW_DRAWS)
+
+
+def test_draw_checker_sees_method_calls():
+    src = ("rng.randint(1, 6)\n"
+           "x = random.Random(0).choice([1, 2])\n"
+           "f(rng.randrange)\n"
+           "draw_int(rng, 0, 3) + rng.random()\n"
+           "self.rng.randrange(9)\n")
+    assert _slow_draws(src) == [(1, "randint"), (2, "choice"),
+                                (5, "randrange")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_seeded_draws_use_the_draw_helpers(path):
+    assert _slow_draws(path.read_text(encoding="utf-8")) == []

@@ -515,3 +515,35 @@ def test_slice_absorbing_matches_brute_grid(n):
                     (A.render(), mu)
     assert verdicts == {"Proven", "Refuted"}
 
+
+
+@pytest.mark.parametrize("radial", [iu((1, INF, False, False)),
+                                    iu((1, 2, True, False))],
+                         ids=["(1,inf)", "[1,2)"])
+def test_slice_ball_piece_without_theta_is_not_balanced(radial):
+    # 0.x = theta is outside A, though the offending piece is a ball
+    E = make_instance("cone:1")
+    A = S.product_slice((radial, S.ball(2)))
+    out = is_balanced(A)
+    assert out.refuted and out.detail == "0.x = theta is outside A"
+    (r, a), alpha = out.witness["_raw"]
+    assert a is None and out.witness["x"] == f"({rat_str(r)}, 0)"
+    x = (r, E.zero[1])
+    assert A.member(x) and not A.member(E.scale(sc.scalar(alpha), x))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slice_balanced_refuted_exactly_when_theta_is_outside(n):
+    E = make_instance(f"cone:{n}")
+    rng = random.Random(1503 + n)
+    verdicts = set()
+    for A in [_random_slice(rng, n) for _ in range(120)]:
+        out = is_balanced(A)
+        verdicts.add(out.verdict)
+        assert out.refuted == (not A.member(E.zero)), A.render()
+        if out.refuted:
+            (r, a), alpha = out.witness["_raw"]
+            x = (r, E.zero[1] if a is None else a)
+            assert A.member(x), A.render()
+            assert not A.member(E.scale(sc.scalar(alpha), x)), A.render()
+    assert {"Refuted", "Unfalsified"} <= verdicts
