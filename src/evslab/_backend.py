@@ -216,11 +216,14 @@ def rat(num, den=1):
 def draw_int(rng, lo: int, hi: int) -> int:
     """``rng.randint(lo, hi)``: the same value, leaving ``rng`` in the same
     state.  It runs the ``getrandbits(k)`` rejection loop of
-    ``random.Random._randbelow`` without ``randrange``'s argument checks,
-    so it needs ``lo <= hi`` as ints.  ``tests/test_backend.py`` pins the
+    ``random.Random._randbelow`` without ``randrange``'s other argument
+    checks, so ``lo`` and ``hi`` must be ints; ``lo > hi`` raises
+    ``ValueError`` as ``randint`` does.  ``tests/test_backend.py`` pins the
     equality on twin streams, so a change to ``randrange`` fails there
     by name."""
     n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for draw_int({lo}, {hi})")
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
@@ -232,11 +235,7 @@ def draw_rat(rng, lo: int, hi: int, den_hi: int):
     """``Rat(rng.randint(lo, hi), rng.randint(1, den_hi))``, drawn in
     that order through :func:`draw_int`."""
     p = draw_int(rng, lo, hi)
-    q = draw_int(rng, 1, den_hi)
-    if Rat is _PureRat:
-        g = math.gcd(p, q)
-        return _new(p // g, q // g)
-    return Rat(p, q)
+    return Rat(p, draw_int(rng, 1, den_hi))
 
 
 ZERO = rat(0)

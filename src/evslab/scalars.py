@@ -21,8 +21,8 @@ pool across their nested loops; :func:`modulus` reads that slot directly.
 import math
 import random
 
-from ._backend import (ZERO, Rat, _PureRat, draw_int, draw_rat, rat,
-                       rat_parse, rat_sqrt, rat_str)
+from ._backend import (ZERO, Rat, draw_int, draw_rat, rat, rat_parse,
+                       rat_sqrt, rat_str)
 
 ANY_SCALAR = "AnyScalar"
 PYTHAGOREAN_ONLY = "PythagoreanOnly"
@@ -40,9 +40,6 @@ class Scalar:
     __slots__ = ("_a", "_b", "_d", "_modulus")
 
     def __new__(cls, re, im):
-        if type(re) is _PureRat and type(im) is _PureRat:
-            return from_ints(re._numerator, re._denominator,
-                             im._numerator, im._denominator)
         return from_ints(int(re.numerator), int(re.denominator),
                          int(im.numerator), int(im.denominator))
 

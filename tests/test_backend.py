@@ -188,3 +188,15 @@ def test_draws_equal_randint_and_choice_on_twin_streams(lo):
             # equal reprs: the same canonical numerator and denominator
             assert repr(draw_rat(ours, lo, hi, width)) == repr(q)
     assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (0, -5)])
+def test_draw_int_rejects_an_empty_range_as_randint_does(lo, hi):
+    ours, ref = random.Random(3), random.Random(3)
+    with pytest.raises(ValueError):
+        ref.randint(lo, hi)
+    with pytest.raises(ValueError):
+        draw_int(ours, lo, hi)
+    with pytest.raises(ValueError):
+        draw_rat(ours, lo, hi, 6)
+    assert ours.getstate() == ref.getstate()
