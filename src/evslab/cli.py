@@ -23,7 +23,6 @@ from .instances import MORPHISMS, make_instance
 from .outcome import CheckOutcome, subseed
 
 DEFAULT_SEED = 42
-LAW_SUITES = frozenset({"axioms", "sets", "bounded", "morphism"})
 FINDING_SUITES = frozenset({"radial", "localbase", "audit"})
 
 
@@ -107,7 +106,7 @@ def run_sets(spec: str, budget: int, seed: int,
              input_path: Optional[str]) -> List[ReportRecord]:
     E = _instance(spec)
     recs: List[ReportRecord] = []
-    if "IntervalUnion" in E.exact_sets:
+    if setlaws.has_interval_sets(E):
         recs += _records_from_map(
             "sets", E.name, "sets",
             setlaws.check_absorbing_closure_laws(E, budget, seed))
@@ -139,7 +138,7 @@ def run_bounded(spec: str, budget: int, seed: int,
                 input_path: Optional[str]) -> List[ReportRecord]:
     E = _instance(spec)
     recs: List[ReportRecord] = []
-    if "IntervalUnion" in E.exact_sets:
+    if setlaws.has_interval_sets(E):
         recs += [ReportRecord(law_id, E.name, "bounded", outcome)
                  for law_id, outcome in topology.check_bounded_laws(
                      E, budget, seed).items()]
@@ -163,7 +162,7 @@ def run_bounded(spec: str, budget: int, seed: int,
 def run_localbase(spec: str, budget: int, seed: int,
                   input_path: Optional[str]) -> List[ReportRecord]:
     E = _instance(spec)
-    if "IntervalUnion" not in E.exact_sets:
+    if not setlaws.has_interval_sets(E):
         raise click.UsageError(
             "the local-base suite runs on interval-exact instances")
     if input_path:
@@ -216,7 +215,7 @@ def run_all(spec: str, budget: int, seed: int) -> List[ReportRecord]:
     recs.append(_timed(
         "structure.primitive-scaling", E.name, "axioms",
         lambda: core.check_primitive_scaling(E, budget, seed)))
-    if "IntervalUnion" in E.exact_sets:
+    if setlaws.has_interval_sets(E):
         recs += run_sets(spec, budget, seed, None)
         recs += run_bounded(spec, budget, seed, None)
         recs += run_localbase(spec, budget, seed, None)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import scalars as sc
 from .outcome import (CheckOutcome, check_law, per_variable_budget, refuted,
@@ -38,15 +38,15 @@ class EvsDescriptor:
     is_primitive: Callable
     primitive_witness: Callable
     sample: Callable  # (seed, count) -> list of Element
-    scalar_mode: str = sc.ANY_SCALAR
-    exact_sets: tuple = ()
-    render: Callable = staticmethod(repr)
-    # exact primitive set (list of elements) where the instance has one
-    primitive_set: Optional[Callable] = None
+    scalar_mode: str  # sc.ANY_SCALAR or sc.PYTHAGOREAN_ONLY
+    render: Callable  # Element -> str
+    # the exact P_x: the list of all primitives p <= x
+    primitive_set: Callable
     # produce some y with x <= y, for comparable-pair sampling
-    upward: Optional[Callable] = None  # (Element, random.Random) -> Element
-    # axiom ids whose laws reduce to exact arithmetic identities for this
-    # instance; checkAxioms reports Proven instead of Unfalsified there
+    upward: Callable  # (Element, random.Random) -> Element
+    # the one optional field: axiom ids whose laws reduce to exact
+    # arithmetic identities for this instance; checkAxioms reports
+    # Proven instead of Unfalsified there
     exactly_verified: frozenset = frozenset()
 
     def eq(self, a, b) -> bool:
@@ -59,12 +59,9 @@ class EvsDescriptor:
         pairs = []
         for x in xs:
             pairs.append((self.primitive_witness(x), x))
-            if self.upward is not None:
-                y = self.upward(x, rng)
-                if self.leq(x, y):
-                    pairs.append((x, y))
-            else:
-                pairs.append((x, x))
+            y = self.upward(x, rng)
+            if self.leq(x, y):
+                pairs.append((x, y))
             if len(pairs) >= count:
                 break
         # opportunistic comparable pairs among distinct samples
@@ -223,41 +220,27 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
     )
 
 
-def primitive_samples(E: EvsDescriptor, x, budget: int, seed: int):
-    """Primitives p with p <= x; exact where the instance supplies them."""
-    if E.primitive_set is not None:
-        return list(E.primitive_set(x))
-    found = [E.primitive_witness(x)]
-    for p in E.sample(subseed(seed, "prim"), budget):
-        if E.is_primitive(p) and E.leq(p, x):
-            if not any(E.eq(p, q) for q in found):
-                found.append(p)
-    return found
-
-
 def check_primitive_scaling(E: EvsDescriptor, budget: int,
                             seed: int) -> CheckOutcome:
-    """P_{a.x} = a.P_x on sampled x and admissible a."""
+    """P_{a.x} = a.P_x on sampled x and admissible a, comparing the
+    exact primitive sets both ways."""
     n = per_variable_budget(budget, 2)
     xs = E.sample(subseed(seed, "x"), n)
     alphas = [t[0] for t in _scalar_tuples(E, 1, n, subseed(seed, "alpha"))]
-    exact = E.primitive_set is not None
-    px_seed, pax_seed = subseed(seed, "px"), subseed(seed, "pax")
 
     def holds(x, a, px):
-        pax = primitive_samples(E, E.scale(a, x), n, pax_seed)
+        pax = E.primitive_set(E.scale(a, x))
         scaled = [E.scale(a, p) for p in px]
         fwd = all(any(E.eq(s, q) for q in pax) for s in scaled)
-        bwd = not exact or all(any(E.eq(q, s) for s in scaled) for q in pax)
+        bwd = all(any(E.eq(q, s) for s in scaled) for q in pax)
         return fwd and bwd
 
     # P_x is found once per x, when the walk reaches it
     return check_law(
-        ((x, a, px) for x in xs
-         for px in [primitive_samples(E, x, n, px_seed)]
+        ((x, a, px) for x in xs for px in [E.primitive_set(x)]
          for a in alphas),
         holds, _wit(E, "x", "alpha"), "P_{a.x} != a.P_x", seed,
-        "exact primitive sets compared on all samples" if exact else None)
+        "exact primitive sets compared on all samples")
 
 
 def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
@@ -389,9 +372,7 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
         return list(zip(*cols))
 
     def upward(x, rng):
-        return tuple(
-            p.upward(xi, rng) if p.upward is not None else xi
-            for p, xi in zip(parts, x))
+        return tuple(p.upward(xi, rng) for p, xi in zip(parts, x))
 
     def leq(x, y):
         for p, a, b in zip(parts, x, y):
@@ -399,11 +380,9 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
                 return False
         return True
 
-    prim_set = None
-    if all(p.primitive_set is not None for p in parts):
-        def prim_set(x):
-            factor_sets = [p.primitive_set(xi) for p, xi in zip(parts, x)]
-            return [tuple(t) for t in product(*factor_sets)]
+    def primitive_set(x):
+        factor_sets = [p.primitive_set(xi) for p, xi in zip(parts, x)]
+        return [tuple(t) for t in product(*factor_sets)]
 
     return EvsDescriptor(
         name="product(" + ",".join(p.name for p in parts) + ")",
@@ -418,9 +397,8 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
             [p.primitive_witness(a) for p, a in zip(parts, x)]),
         sample=sample,
         scalar_mode=mode,
-        exact_sets=("ProductCylinder",),
         render=lambda x: "(" + ", ".join(
             p.render(a) for p, a in zip(parts, x)) + ")",
-        primitive_set=prim_set,
+        primitive_set=primitive_set,
         upward=upward,
     )

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from . import scalars as sc
 from ._backend import ONE, ZERO, draw_int, draw_rat, rat, rat_str
-from .core import AXIOM_IDS, EvsDescriptor
+from .core import AXIOM_IDS, EvsDescriptor, product_evs
 
 
 def _rand_nonneg_rat(rng: random.Random, height: int = 6):
@@ -56,7 +56,6 @@ def half_line() -> EvsDescriptor:
         primitive_witness=lambda r: ZERO,
         sample=sample,
         scalar_mode=sc.PYTHAGOREAN_ONLY,
-        exact_sets=("IntervalUnion",),
         render=rat_str,
         primitive_set=lambda r: [ZERO],
         upward=lambda r, rng: r + _rand_nonneg_rat(rng),
@@ -66,8 +65,8 @@ def half_line() -> EvsDescriptor:
 
 # ------------------------------------------------ cone and twisted products
 
-def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
-                    exact_sets: tuple) -> EvsDescriptor:
+def _vector_product(n: int, kind: str, scale: Callable,
+                    scalar_mode: str) -> EvsDescriptor:
     """[0,oo) x K^n under ``scale``, ordered on r with a fixed."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -93,7 +92,6 @@ def _vector_product(n: int, kind: str, scale: Callable, scalar_mode: str,
         primitive_witness=lambda x: (ZERO, x[1]),
         sample=sample,
         scalar_mode=scalar_mode,
-        exact_sets=exact_sets,
         render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
         primitive_set=lambda x: [(ZERO, x[1])],
         upward=lambda x, rng: (x[0] + _rand_nonneg_rat(rng), x[1]),
@@ -107,8 +105,7 @@ def _cone_scale(lam, x):
 
 def cone_product(n: int) -> EvsDescriptor:
     """[0,oo) x K^n with action (|lam|.r, lam.a), order on r with a fixed."""
-    return _vector_product(n, "cone", _cone_scale, sc.PYTHAGOREAN_ONLY,
-                           ("ProductSlice",))
+    return _vector_product(n, "cone", _cone_scale, sc.PYTHAGOREAN_ONLY)
 
 
 def _twisted_scale(lam, x):
@@ -120,7 +117,7 @@ def _twisted_scale(lam, x):
 
 def twisted_product(n: int) -> EvsDescriptor:
     """[0,oo) x K^n with action (r, lam.a) for lam != 0 and 0.x = theta."""
-    return _vector_product(n, "twisted", _twisted_scale, sc.ANY_SCALAR, ())
+    return _vector_product(n, "twisted", _twisted_scale, sc.ANY_SCALAR)
 
 
 # ------------------------------------------------------- dictionary plane
@@ -161,7 +158,6 @@ def dict_plane() -> EvsDescriptor:
         primitive_witness=lambda p: (ZERO, ZERO),
         sample=sample,
         scalar_mode=sc.PYTHAGOREAN_ONLY,
-        exact_sets=("AnchoredBoxUnion",),
         render=lambda p: f"({rat_str(p[0])}, {rat_str(p[1])})",
         primitive_set=lambda p: [(ZERO, ZERO)],
         upward=upward,
@@ -201,6 +197,16 @@ def subspace_leq(y1, y2) -> bool:
     return span_join(y1, y2) == y2
 
 
+def render_subspace(y) -> str:
+    """``zero``, ``full`` or ``span(a,b)`` for a canonical subspace."""
+    if y == ZERO_SUBSPACE:
+        return "zero"
+    if y == FULL_SUBSPACE:
+        return "full"
+    (a, b), = y
+    return f"span({rat_str(a)},{rat_str(b)})"
+
+
 def subspace_lattice() -> EvsDescriptor:
     """Linear subspaces of Q^2: join as addition, inclusion as order."""
 
@@ -217,14 +223,6 @@ def subspace_lattice() -> EvsDescriptor:
             out.append(line(draw_int(rng, 1, 6), draw_rat(rng, -6, 6, 6)))
         return out[:count]
 
-    def render(y):
-        if y == ZERO_SUBSPACE:
-            return "zero"
-        if y == FULL_SUBSPACE:
-            return "full"
-        (a, b), = y
-        return f"span({rat_str(a)},{rat_str(b)})"
-
     return EvsDescriptor(
         name="lattice2",
         element_kind="lattice2",
@@ -236,8 +234,7 @@ def subspace_lattice() -> EvsDescriptor:
         primitive_witness=lambda y: ZERO_SUBSPACE,
         sample=sample,
         scalar_mode=sc.ANY_SCALAR,
-        exact_sets=("LatticeFamily",),
-        render=render,
+        render=render_subspace,
         primitive_set=lambda y: [ZERO_SUBSPACE],
         upward=lambda y, rng: span_join(y, (
             FULL_SUBSPACE, line(1, 1), line(1, 0), y)[draw_int(rng, 0, 3)]),
@@ -369,8 +366,6 @@ def make_instance(spec: str) -> EvsDescriptor:
     ``halfline``, ``cone:n``, ``twisted:n``, ``dict2``, ``lattice2`` and
     ``product:(spec,spec,...)``.
     """
-    from .core import product_evs
-
     spec = spec.strip()
     if spec in PLANTED_FAULTS:
         return PLANTED_FAULTS[spec]()

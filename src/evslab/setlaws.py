@@ -18,24 +18,23 @@ from typing import Optional, Sequence
 from . import scalars as sc
 from . import sets as st
 from ._backend import ZERO, Rat, rat
-from .core import EvsDescriptor
+from .core import EvsDescriptor, product_evs
 from .instances import OrderIso
 from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
                       rendered, subseed, unfalsified)
 
-ABSORBING_LAW_IDS = ("absorbing.i", "absorbing.ii", "absorbing.iii",
-                     "absorbing.iv", "absorbing.v")
-BALANCED_LAW_IDS = ("balanced.i", "balanced.ii", "balanced.iii",
-                    "balanced.iv", "balanced.v")
-
 _CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
 
 
+def has_interval_sets(E: EvsDescriptor) -> bool:
+    """True when E's exact sets are interval unions: on the half line."""
+    return E.element_kind == "halfline"
+
+
 def _require_interval_support(E: EvsDescriptor):
-    if "IntervalUnion" not in E.exact_sets:
+    if not has_interval_sets(E):
         raise ValueError(
-            f"law driver needs IntervalUnion support, "
-            f"{E.name} has {E.exact_sets}")
+            f"law driver needs IntervalUnion sets, which {E.name} lacks")
 
 
 def _random_corpus(budget: int, seed: int, pred) -> list:
@@ -162,7 +161,6 @@ def radial_separator(E: EvsDescriptor, x, y):
             r = (x1 + x2) / 2
             return st.box_union([st.box(r, keep[1] + 1)])
         # same first coordinate: cut between the y values
-        keep = x if y1 < y2 else y
         cut = (y1 + y2) / 2
         return st.box_union([st.box(x1 + 1, cut)])
     if kind == "cone":
@@ -257,8 +255,6 @@ def check_radial_product_and_hereditary(
     intersection with Y, and the check verifies membership and
     absorbency-within-Y on the sampled members.
     """
-    from .core import product_evs
-
     tried = 0
     # productive part
     if parts:
@@ -326,8 +322,8 @@ def transport_set(phi: OrderIso, A):
     order-isomorphism."""
     if phi.inverse is None:
         raise ValueError(f"morphism {phi.name} lacks an inverse")
-    if phi.transport is None or \
-            type(A).__name__ not in phi.domain.exact_sets:
+    if phi.transport is None or not (has_interval_sets(phi.domain)
+                                     and isinstance(A, st.IntervalUnion)):
         raise ValueError(
             f"no exact transport for {phi.name} on {type(A).__name__}")
     return phi.transport(A)

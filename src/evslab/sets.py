@@ -52,7 +52,7 @@ from typing import Sequence, Tuple
 
 from . import scalars as sc
 from ._backend import ONE, ZERO, Rat, draw_int, draw_rat, rat, rat_str
-from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
+from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line, render_subspace
 from .outcome import CheckOutcome, proven, refuted, unfalsified
 
 INF = None  # right endpoint marker for unbounded intervals
@@ -571,9 +571,7 @@ class LatticeFamily:
         return self.mode == COFINITE and not self.members
 
     def render(self) -> str:
-        from .instances import subspace_lattice
-        rend = subspace_lattice().render
-        names = sorted(rend(y) for y in self.members)
+        names = sorted(render_subspace(y) for y in self.members)
         inner = ",".join(names)
         if self.mode == FINITE:
             return "{" + inner + "}"
@@ -588,16 +586,16 @@ class LatticeFamily:
         if self.member(ZERO_SUBSPACE):
             return proven(
                 "alpha.Y = Y for alpha != 0 and 0.Y = zero is in A")
-        y = _some_member(self)
-        return refuted(lambda: {"x": _render_subspace(y), "alpha": "0",
+        y = some_subspace(self, inside=True)
+        return refuted(lambda: {"x": render_subspace(y), "alpha": "0",
                                 "escape": "zero", "_raw": (y, ZERO)},
                        detail="0.Y = zero subspace is outside A")
 
     def absorbing(self) -> CheckOutcome:
         if self.is_all():
             return proven("the family is the whole lattice")
-        y = some_missing_subspace(self)
-        return refuted(lambda: {"x": _render_subspace(y), "_raw": (y,)},
+        y = some_subspace(self, inside=False)
+        return refuted(lambda: {"x": render_subspace(y), "_raw": (y,)},
                        detail="mu.Y = Y stays outside A for every mu != 0")
 
 
@@ -608,19 +606,20 @@ def lattice_family(mode: str, members) -> LatticeFamily:
 ALL_SUBSPACES = LatticeFamily(COFINITE, frozenset())
 
 
-def some_missing_subspace(fam: LatticeFamily):
-    """A subspace outside the family, or None if the family is everything."""
-    if fam.mode == COFINITE:
-        for y in sorted(fam.members, key=str):
-            return y
-        return None
+def some_subspace(fam: LatticeFamily, inside: bool):
+    """A subspace in the family (``inside``) or outside it, or None where
+    there is none: the least listed one by name where the side is the
+    listed set, else the first of zero, full, span(1,0), span(1,1), ...
+    on that side."""
+    if fam.mode == (FINITE if inside else COFINITE):
+        return min(fam.members, key=str, default=None)
     for y in (ZERO_SUBSPACE, FULL_SUBSPACE):
-        if not fam.member(y):
+        if fam.member(y) == inside:
             return y
     k = 0
     while True:
         cand = line(1, k)
-        if not fam.member(cand):
+        if fam.member(cand) == inside:
             return cand
         k += 1
 
@@ -633,25 +632,6 @@ def lattice_scale(lam: sc.Scalar, fam: LatticeFamily) -> LatticeFamily:
             return fam
         return lattice_family(FINITE, [ZERO_SUBSPACE])
     return fam
-
-
-def _some_member(fam: LatticeFamily):
-    if fam.mode == FINITE:
-        return sorted(fam.members, key=str)[0]
-    for y in (ZERO_SUBSPACE, FULL_SUBSPACE):
-        if fam.member(y):
-            return y
-    k = 0
-    while True:
-        cand = line(1, k)
-        if fam.member(cand):
-            return cand
-        k += 1
-
-
-def _render_subspace(y) -> str:
-    from .instances import subspace_lattice
-    return subspace_lattice().render(y)
 
 
 # ---------------------------------------------------------- product slice

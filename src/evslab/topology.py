@@ -78,10 +78,6 @@ def definition_bounded_grid(A: IntervalUnion, depth: int = 6) -> bool:
     return True
 
 
-BOUNDED_LAW_IDS = ("bounded.defs-agree", "bounded.finite", "bounded.compact",
-                   "bounded.sum", "bounded.scale", "bounded.subset")
-
-
 def _sup(A: IntervalUnion):
     return A.sup()[0]
 
@@ -173,9 +169,6 @@ def _make_compact(A: IntervalUnion) -> Tuple[IntervalUnion, Rat]:
 
 
 # ------------------------------------------------------------- local base
-
-LOCAL_BASE_CONDITION_IDS = ("i", "ii", "iii", "iv", "v")
-
 
 def usual_base(depth: int = 8) -> Tuple[IntervalUnion, ...]:
     """The standard candidate family [0, 1/n) for n = 1..depth."""

@@ -289,3 +289,22 @@ def test_planted_fault_is_reachable_by_its_spec(runner, fault, expected_id):
     assert res.exit_code == 1, res.output
     verdicts = {r["checkId"]: r["verdict"] for r in _strip_elapsed(res.output)}
     assert verdicts["axioms." + expected_id] == "Refuted"
+
+
+NON_INTERVAL_SPECS = ("cone:1", "cone:2", "twisted:2", "dict2", "lattice2",
+                      "product:(halfline,dict2)", "twisted:2#no-zero-case",
+                      "lattice2#no-canonicalization")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("sets", "instance {!r} has no exact interval support and no --input "
+             "sets were given"),
+    ("bounded", "instance {!r} needs interval support or --input sets"),
+    ("localbase", "the local-base suite runs on interval-exact instances"),
+])
+@pytest.mark.parametrize("spec", NON_INTERVAL_SPECS)
+def test_interval_suites_without_input_are_usage_errors_off_the_half_line(
+        runner, spec, command, message):
+    res = runner.invoke(main, [command, spec])
+    assert res.exit_code == 2, res.output
+    assert message.format(spec) in res.output

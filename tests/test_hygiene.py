@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used there
 (``__init__.py`` is exempt because its imports are the package's public
-re-exports), every function is reached, no verdict rests on an
-``assert``, no decider samples and every seeded draw goes through the
-``_backend`` draw helpers.
+re-exports), every function and upper-case constant is reached, no
+verdict rests on an ``assert``, no decider samples and every seeded draw
+goes through the ``_backend`` draw helpers.
 """
 
 import ast
@@ -66,33 +66,41 @@ def _strings(node) -> set:
 
 
 def _unreferenced_functions(sets_source: str, other_sources) -> list:
-    """Top-level functions and non-dunder methods of a library module
-    that nothing reaches: not named in another module, nor anywhere in
-    the module outside their own body.  A method is listed as
-    ``Class.name``; its name in a string constant anywhere counts as
-    reached, since ``sets.carrier_operation`` looks methods up by name.
-    A decorated top-level function counts as reached, since its
-    decorator registers it (click reaches the ``cli`` commands that way).
-    The ``brute_*`` reference oracles and the ``random_*`` generators
-    exist for tests and benchmarks, so they are exempt."""
+    """Top-level functions, non-dunder methods and upper-case module
+    constants of a library module that nothing reaches: not named in
+    another module, nor anywhere in the module outside their own body
+    or assignment.  A method is listed as ``Class.name``; its name in a
+    string constant anywhere counts as reached, since
+    ``sets.carrier_operation`` looks methods up by name.  A decorated
+    top-level function counts as reached, since its decorator registers
+    it (click reaches the ``cli`` commands that way).  The ``brute_*``
+    reference oracles and the ``random_*`` generators exist for tests
+    and benchmarks, so they are exempt; a constant only tests read is
+    not."""
     tree = ast.parse(sets_source)
     others = [ast.parse(s) for s in other_sources]
     elsewhere = set().union(*(_names(t) for t in others))
     strings = set().union(*(_strings(t) for t in [tree, *others]))
-    candidates = [(fn.name, fn) for fn in tree.body
+    candidates = [(fn.name, fn.name, fn) for fn in tree.body
                   if isinstance(fn, ast.FunctionDef)
                   and not fn.decorator_list]
-    candidates += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+    candidates += [(f"{cls.name}.{fn.name}", fn.name, fn)
+                   for cls in tree.body
                    if isinstance(cls, ast.ClassDef) for fn in cls.body
                    if isinstance(fn, ast.FunctionDef)
                    and not (fn.name.startswith("__")
                             and fn.name.endswith("__"))
                    and fn.name not in strings]
+    candidates += [(t.id, t.id, node) for node in tree.body
+                   if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for t in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+                   if isinstance(t, ast.Name) and t.id.isupper()]
     out = []
-    for label, fn in candidates:
-        if fn.name.startswith(("brute_", "random_")):
+    for label, name, node in candidates:
+        if name.startswith(("brute_", "random_")):
             continue
-        if fn.name not in _names(tree, skip=fn) | elsewhere:
+        if name not in _names(tree, skip=node) | elsewhere:
             out.append(label)
     return out
 
@@ -120,6 +128,21 @@ def test_reachability_checker_sees_methods():
         ["f", "C.lonely", "C.helper"]
     assert _unreferenced_functions(src, ["m.f(c.helper())\n"]) == \
         ["C.lonely"]
+
+
+def test_reachability_checker_sees_constants():
+    src = ("IDS = ('a', 'b')\n"
+           "USED = 1\n"
+           "TYPED: dict = {}\n"
+           "_PRIVATE = 2\n"
+           "lower = 3\n"
+           "SELF = SELF_TOO = 4\n"
+           "def f(): return USED\n")
+    assert _unreferenced_functions(src, ["from .m import f\n"]) == \
+        ["IDS", "TYPED", "_PRIVATE", "SELF", "SELF_TOO"]
+    assert _unreferenced_functions(
+        src, ["from .m import f, IDS\n", "m.TYPED[m._PRIVATE] = m.SELF\n",
+              "g(SELF_TOO)\n"]) == []
 
 
 def test_reachability_checker_counts_a_decorated_function_as_reached():

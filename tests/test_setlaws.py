@@ -9,12 +9,11 @@ from evslab._backend import Rat, rat
 from evslab.instances import MORPHISMS, cone_product, dict_plane, half_line, \
     make_instance, subspace_lattice
 from evslab.outcome import refuted
-from evslab.setlaws import (ABSORBING_LAW_IDS, BALANCED_LAW_IDS,
-                            check_absorbing_closure_laws,
+from evslab.setlaws import (check_absorbing_closure_laws,
                             check_absorbing_transport,
                             check_balanced_closure_laws, check_radial,
                             check_radial_product_and_hereditary,
-                            check_radial_transport,
+                            check_radial_transport, has_interval_sets,
                             product_cylinder_separator, radial_separator,
                             transport_set)
 
@@ -24,15 +23,30 @@ def test_closure_laws_all_proven():
     for out in (check_absorbing_closure_laws(H, 300, 42),
                 check_balanced_closure_laws(H, 300, 42)):
         assert all(o.proven for o in out.values())
-    assert set(check_absorbing_closure_laws(H, 100, 1)) == \
-        set(ABSORBING_LAW_IDS)
-    assert set(check_balanced_closure_laws(H, 100, 1)) == \
-        set(BALANCED_LAW_IDS)
+    assert list(check_absorbing_closure_laws(H, 100, 1)) == [
+        "absorbing.i", "absorbing.ii", "absorbing.iii", "absorbing.iv",
+        "absorbing.v"]
+    assert list(check_balanced_closure_laws(H, 100, 1)) == [
+        "balanced.i", "balanced.ii", "balanced.iii", "balanced.iv",
+        "balanced.v"]
 
 
 def test_closure_laws_need_interval_support():
     with pytest.raises(ValueError):
         check_absorbing_closure_laws(subspace_lattice(), 100, 42)
+
+
+@pytest.mark.parametrize("spec", [
+    "halfline", "cone:2", "twisted:2", "dict2", "lattice2",
+    "product:(halfline,dict2)", "halfline#no-modulus",
+    "twisted:2#no-zero-case", "lattice2#no-canonicalization", "cone:1"])
+def test_interval_sets_exactly_on_the_half_line(spec):
+    E = make_instance(spec)
+    expected = spec in ("halfline", "halfline#no-modulus")
+    assert has_interval_sets(E) == expected
+    if not expected:
+        with pytest.raises(ValueError, match="IntervalUnion"):
+            check_balanced_closure_laws(E, 100, 42)
 
 
 # ------------------------------------------------------------- separators
@@ -162,6 +176,13 @@ def test_transport_requires_inverse():
     phi = MORPHISMS["shift"]()
     with pytest.raises(ValueError):
         transport_set(phi, st.iu((0, 1)))
+
+
+def test_transport_rejects_a_set_outside_the_domain_carrier():
+    phi = MORPHISMS["doubling"]()
+    with pytest.raises(ValueError, match="no exact transport for doubling "
+                                         "on AnchoredBoxUnion"):
+        transport_set(phi, st.box_union([st.box(1, 2)]))
 
 
 # ------------------------------------------------------ the Refuted path
