@@ -11,7 +11,7 @@ everything that is not exactly decidable.
 from ._backend import BACKEND, Rat, rat, rat_parse, rat_str
 from .core import (AXIOM_IDS, EvsDescriptor, check_axioms,
                    check_order_morphism, check_primitive_scaling,
-                   check_subevs, product_evs)
+                   product_evs)
 from .instances import (MORPHISMS, PLANTED_FAULTS, OrderIso, cone_product,
                         dict_plane, half_line, make_instance,
                         subspace_lattice, twisted_product)

@@ -184,7 +184,8 @@ def run_audit(input_path: str) -> List[ReportRecord]:
                    lambda G=G: topology.audit_generator(G))
             for i, G in enumerate(gens)]
     recs.append(_timed("audit.family", "halfline", "audit",
-                       lambda: topology.finest_topology_audit(gens)))
+                       lambda: topology.finest_topology_audit(
+                           gens, [r.outcome for r in recs])))
     return recs
 
 
@@ -249,11 +250,6 @@ def _load_sets(input_path: Optional[str], kind: str,
 # ------------------------------------------------------------------- output
 
 def _emit(records: List[ReportRecord], fmt: str, findings_ok: bool) -> int:
-    for r in records:
-        if fmt == "jsonlines":
-            click.echo(r.to_json())
-        else:
-            click.echo(r.to_text())
     failures = 0
     findings = 0
     for r in records:
@@ -263,9 +259,15 @@ def _emit(records: List[ReportRecord], fmt: str, findings_ok: bool) -> int:
             findings += 1
         else:
             failures += 1
-    if fmt == "text":
-        click.echo(f"-- {len(records)} checks, {failures} failures, "
-                   f"{findings} findings")
+    if fmt == "jsonlines":
+        lines = [r.to_json() for r in records]
+    else:
+        lines = [r.to_text() for r in records]
+        lines.append(f"-- {len(records)} checks, {failures} failures, "
+                     f"{findings} findings")
+    # one write: click flushes after every echo
+    if lines:
+        click.echo("\n".join(lines))
     if failures:
         return 1
     if findings and not findings_ok:

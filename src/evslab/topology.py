@@ -361,14 +361,15 @@ def audit_generator(G: IntervalUnion) -> CheckOutcome:
     return proven("all components have open subspace form", len(G.components))
 
 
-def finest_topology_audit(generators: Sequence[IntervalUnion]) -> CheckOutcome:
-    """Family verdict: certified usual-open (so the generated topology is
+def finest_topology_audit(generators: Sequence[IntervalUnion],
+                          audits: Sequence[CheckOutcome]) -> CheckOutcome:
+    """Family verdict from each generator's ``audit_generator`` outcome:
+    certified usual-open (so the generated topology is
     coarsest-compatible) or Refuted at the first offending generator."""
-    per = [audit_generator(G) for G in generators]
-    for G, outcome in zip(generators, per):
+    for G, outcome in zip(generators, audits, strict=True):
         if outcome.refuted:
             w = dict(outcome.witness)
             w["generator"] = G.render()
-            return refuted(w, len(per), 0, outcome.detail)
+            return refuted(w, len(audits), 0, outcome.detail)
     return proven("every generator is usual-open; the generated topology "
-                  "is contained in the usual subspace topology", len(per))
+                  "is contained in the usual subspace topology", len(audits))

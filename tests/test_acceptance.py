@@ -219,8 +219,9 @@ def test_criterion_09_audit():
     assert out.refuted and out.witness["t"] == "1/2"
     out = topology.audit_generator(iu((0, 1, True, True)))
     assert out.refuted and out.witness["t"] == "3/2"
+    gens = [iu((0, 1)), iu((2, 5, False, False))]
     assert topology.finest_topology_audit(
-        [iu((0, 1)), iu((2, 5, False, False))]).proven
+        gens, [topology.audit_generator(G) for G in gens]).proven
     rng = random.Random(SEED + 9)
     for _ in range(1000):
         G = st.random_interval_union(rng)

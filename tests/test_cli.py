@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from evslab import cli as cli_module
+from evslab import sets as st
+from evslab import topology
 from evslab.cli import main
 from evslab.instances import PLANTED_FAULTS, make_instance
 
@@ -155,6 +158,55 @@ def test_audit_requires_input_and_reports(runner, tmp_path):
     assert recs["audit.family"]["verdict"] == "Refuted"
     res2 = runner.invoke(main, ["audit"])
     assert res2.exit_code == 2
+
+
+AUDIT_TEXT = """\
+audit.gen0                   halfline                 Refuted
+  - left-closed component away from theta: scaling x by t < 1 lands in the gap below
+  - witness: component=[1,2), escape=1/2, t=1/2, x=1
+audit.gen1                   halfline                 Refuted
+  - right-closed bounded component: scaling the endpoint by t > 1 lands in the gap above
+  - witness: component=[0,1], escape=3/2, t=3/2, x=1
+audit.gen2                   halfline                 Proven
+  - all components have open subspace form
+audit.family                 halfline                 Refuted
+  - left-closed component away from theta: scaling x by t < 1 lands in the gap below
+  - witness: component=[1,2), escape=1/2, generator=[1,2), t=1/2, x=1
+-- 4 checks, 0 failures, 3 findings
+"""
+
+
+def test_text_report_bytes(runner, tmp_path):
+    f = tmp_path / "gens.txt"
+    f.write_text("[1,2)\n[0,1]\n(0,1)\n")
+    res = runner.invoke(main, ["audit", "--input", str(f)])
+    assert res.exit_code == 1  # findings without --findings-ok
+    assert res.output == AUDIT_TEXT
+
+
+def test_no_records_print_no_blank_line(capsys):
+    assert cli_module._emit([], "jsonlines", False) == 0
+    assert capsys.readouterr().out == ""
+    assert cli_module._emit([], "text", False) == 0
+    assert capsys.readouterr().out == "-- 0 checks, 0 failures, 0 findings\n"
+
+
+def test_audit_runs_each_generator_once(tmp_path, monkeypatch):
+    # the family verdict reuses the per-generator outcomes
+    rng = random.Random(2024)
+    gens = [st.random_interval_union(rng) for _ in range(2000)]
+    f = tmp_path / "gens.txt"
+    f.write_text("".join(G.render() + "\n" for G in gens))
+    calls = []
+    audit = topology.audit_generator
+    monkeypatch.setattr(topology, "audit_generator",
+                        lambda G: calls.append(G) or audit(G))
+    recs = cli_module.run_audit(str(f))
+    assert len(calls) == 2000  # 4000 when the family audit re-ran them
+    assert [r.outcome for r in recs[:-1]] == [audit(G) for G in gens]
+    assert recs[-1].check_id == "audit.family"
+    assert recs[-1].outcome == topology.finest_topology_audit(
+        gens, [audit(G) for G in gens])
 
 
 def test_morphism_unknown_name(runner):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from evslab import core, scalars as sc
-from evslab.core import check_axioms, check_order_morphism, check_subevs
+from evslab.core import check_axioms, check_order_morphism
 from evslab.instances import (MORPHISMS, PLANTED_FAULTS, cone_product,
                               dict_plane, half_line, make_instance,
                               subspace_lattice, twisted_product)
@@ -114,6 +114,24 @@ def test_order_morphism_golden(name, verdict, tried, witness):
     assert rendered == witness
 
 
+def test_order_morphism_calls_f_once_per_sample():
+    # doubling at budget 500 has n = 23 samples per variable.  The
+    # additivity and homogeneity passes call f once on each x and each y
+    # and once per sum and scaled sample: n * n + 2n + n * n = 1104
+    # calls.  The 46 comparable pairs and the 46-point pool make 138.
+    phi = MORPHISMS["doubling"]()
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return phi.forward(x)
+
+    outcome = check_order_morphism(f, phi.domain, phi.codomain, 500, 7)
+    assert outcome.verdict == "Unfalsified"
+    assert per_variable_budget(500, 2) == 23
+    assert len(calls) == 1242  # 2783 when f ran once per partner
+
+
 def test_order_morphism_golden_preimage_refutation():
     # (r, a) -> r is additive, homogeneous and monotone; only the
     # preimage pass refutes it, since cone elements compare only with a fixed
@@ -213,19 +231,6 @@ def test_order_morphism_matches_reference_preimage_loop(name):
             details.add(out.detail.split(" ")[0])
     if name == "projection":
         assert details <= {"x", "y"}  # every run ends in the preimage pass
-
-
-def test_subevs_zero_vector_slice_of_cone():
-    C = cone_product(1)
-    member = lambda x: all(v == sc.S_ZERO for v in x[1])
-    assert not check_subevs(C, member, 100, 42).refuted
-
-
-def test_subevs_violation_detected():
-    # the interval [0, 1] is not closed under a.x + y
-    H = half_line()
-    outcome = check_subevs(H, lambda r: r <= 1, 400, 42)
-    assert outcome.refuted
 
 
 def test_product_componentwise():

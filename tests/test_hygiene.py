@@ -1,16 +1,24 @@
 """Source hygiene: every name a library module imports is used there
 (``__init__.py`` is exempt because its imports are the package's public
-re-exports), every function and upper-case constant is reached, no
-verdict rests on an ``assert``, no decider samples and every seeded draw
-goes through the ``_backend`` draw helpers.
+re-exports), every function and upper-case constant is reached by
+another module or named in the README's public API, which is exactly
+``evslab.__all__``, no verdict rests on an ``assert``, no decider
+samples and every seeded draw goes through the ``_backend`` draw
+helpers.
 """
 
 import ast
+import importlib
 import pathlib
+import re
+import types
 
 import pytest
 
+import evslab
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "evslab"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -65,11 +73,12 @@ def _strings(node) -> set:
             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
-def _unreferenced_functions(sets_source: str, other_sources) -> list:
+def _unreferenced_functions(sets_source: str, other_sources,
+                            public=()) -> list:
     """Top-level functions, non-dunder methods and upper-case module
     constants of a library module that nothing reaches: not named in
     another module, nor anywhere in the module outside their own body
-    or assignment.  A method is listed as ``Class.name``; its name in a
+    or assignment, nor in ``public``.  A method is listed as ``Class.name``; its name in a
     string constant anywhere counts as reached, since
     ``sets.carrier_operation`` looks methods up by name.  A decorated
     top-level function counts as reached, since its decorator registers
@@ -100,9 +109,34 @@ def _unreferenced_functions(sets_source: str, other_sources) -> list:
     for label, name, node in candidates:
         if name.startswith(("brute_", "random_")):
             continue
-        if name not in _names(tree, skip=node) | elsewhere:
+        if name not in _names(tree, skip=node) | elsewhere | set(public):
             out.append(label)
     return out
+
+
+def _public_api(readme: str) -> dict:
+    """``{module: [name, ...]}`` from the README's "Public API" section,
+    one bullet per module: ``- `pkg.module`: `name`, `name`, ...``.  A
+    README without the section lists nothing."""
+    section = readme.partition("\n## Public API\n")[2].partition("\n## ")[0]
+    api = {}
+    for item in re.split(r"\n(?=- )", section):  # a bullet may wrap
+        if item.startswith("- `"):
+            module, *names = re.findall(r"`([\w.]+)`", item)
+            api[module.rsplit(".", 1)[-1]] = names
+    return api
+
+
+def _package_unreached(path: pathlib.Path, readme: str) -> list:
+    """``_unreferenced_functions`` for the package module ``path``: the
+    package's other modules reach a name by using it, the README by
+    listing it in its public API, and ``__init__.py`` never, since its
+    re-exports would reach every name it imports."""
+    others = [p.read_text(encoding="utf-8")
+              for p in sorted(path.parent.glob("*.py"))
+              if p != path and p.name != "__init__.py"]
+    return _unreferenced_functions(path.read_text(encoding="utf-8"), others,
+                                   _public_api(readme).get(path.stem, ()))
 
 
 def test_reachability_checker_sees_callers():
@@ -151,12 +185,41 @@ def test_reachability_checker_counts_a_decorated_function_as_reached():
     assert _unreferenced_functions(cli_src, []) == ["helper"]
 
 
+def test_a_re_export_alone_reaches_nothing(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .m import listed, lonely, used\n")
+    (tmp_path / "m.py").write_text(
+        "def used(): pass\ndef lonely(): pass\ndef listed(): pass\n")
+    (tmp_path / "n.py").write_text("from .m import used\nused()\n")
+    readme = ("# toy\n\n## Public API\n\nIntro with `lonely`.\n\n"
+              "- `toy.m`: `listed`\n- `toy.n`: `lonely`\n\n"
+              "## Tests\n\n- `toy.m`: `lonely`\n")
+    assert _public_api(readme) == {"m": ["listed"], "n": ["lonely"]}
+    assert _package_unreached(tmp_path / "m.py", readme) == ["lonely"]
+    assert _package_unreached(tmp_path / "m.py", "# toy\n") == \
+        ["lonely", "listed"]
+    assert _package_unreached(
+        tmp_path / "m.py",
+        readme.replace("`listed`\n", "`listed`,\n  `lonely`\n")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_sets_function_is_reached_from_the_library(path):
-    others = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))
-              if p != path]
-    assert _unreferenced_functions(path.read_text(encoding="utf-8"),
-                                   others) == []
+    assert _package_unreached(path, README.read_text(encoding="utf-8")) == []
+
+
+def test_readme_public_api_is_the_package_exports():
+    """``evslab.__all__``, submodules aside, is the README's list, and
+    each listed name is the object its listed module defines."""
+    api = _public_api(README.read_text(encoding="utf-8"))
+    exported = [name for name in evslab.__all__
+                if not isinstance(getattr(evslab, name), types.ModuleType)]
+    assert sorted(exported) == sorted(n for names in api.values()
+                                      for n in names)
+    for module, names in api.items():
+        mod = importlib.import_module(f"evslab.{module}")
+        assert [n for n in names
+                if getattr(evslab, n) is not getattr(mod, n, None)] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

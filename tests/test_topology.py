@@ -277,8 +277,14 @@ def test_audit_escape_scalars_leave_generator():
             assert G.member(x) and not G.member(t * x)
 
 
+def _family_audit(gens):
+    return finest_topology_audit(gens, [audit_generator(G) for G in gens])
+
+
 def test_family_audit():
-    out = finest_topology_audit([iu((0, 1)), iu((1, 2))])
+    out = _family_audit([iu((0, 1)), iu((1, 2))])
     assert out.refuted
     assert out.witness["generator"] == "[1,2)"
-    assert finest_topology_audit([iu((0, 1)), iu((0, INF))]).proven
+    assert _family_audit([iu((0, 1)), iu((0, INF))]).proven
+    with pytest.raises(ValueError):  # one outcome per generator
+        finest_topology_audit([iu((0, 1))], [])
