@@ -78,11 +78,12 @@ def _unreferenced_functions(sets_source: str, other_sources,
     """Top-level functions, non-dunder methods and upper-case module
     constants of a library module that nothing reaches: not named in
     another module, nor anywhere in the module outside their own body
-    or assignment, nor in ``public``.  A method is listed as ``Class.name``; its name in a
-    string constant anywhere counts as reached, since
-    ``sets.carrier_operation`` looks methods up by name.  A decorated
-    top-level function counts as reached, since its decorator registers
-    it (click reaches the ``cli`` commands that way).  The ``brute_*``
+    or assignment, nor in ``public``.  A method is listed as
+    ``Class.name``; its name in a string constant anywhere counts as
+    reached, since ``sets.carrier_operation`` looks methods up by name.
+    A decorated top-level function counts as reached, since its
+    decorator registers it (click reaches the ``cli`` commands that
+    way).  The ``brute_*``
     reference oracles and the ``random_*`` generators exist for tests
     and benchmarks, so they are exempt; a constant only tests read is
     not."""
