@@ -105,10 +105,12 @@ PAIR_CAP = 40
 
 
 def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
-              witness: Callable[..., dict], detail: str, seed: int,
+              witness: Callable[..., dict],
+              detail: Union[str, Callable[..., str]], seed: int,
               proven_detail: Optional[str] = None) -> CheckOutcome:
     """Refuted at the first case where ``holds(*case)`` is false, with
-    ``witness(*case)`` as its witness.  When it holds on every case the
+    ``witness(*case)`` as its witness and ``detail``, or ``detail(*case)``
+    when it is a function, as its detail.  When it holds on every case the
     run ends Proven with ``proven_detail``, or Unfalsified when that is
     None.  ``samples_tried`` counts the cases evaluated.
 
@@ -120,7 +122,8 @@ def check_law(cases: Iterable[tuple], holds: Callable[..., bool],
     for case in cases:
         tried += 1
         if not holds(*case):
-            return refuted(witness(*case), tried, seed, detail)
+            return refuted(witness(*case), tried, seed,
+                           detail(*case) if callable(detail) else detail)
     if proven_detail is None:
         return unfalsified(tried, seed)
     return proven(proven_detail, tried, seed)

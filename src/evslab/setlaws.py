@@ -5,23 +5,28 @@ Every corpus law, here and in ``topology``, is one ``outcome.check_law``
 row: a lazy stream of cases, a predicate that must hold on each and a
 ``rendered`` witness of the case's sets.  The closure
 drivers generate random exact sets, filter them through the exact
-deciders, apply each construction and re-decide.  The radial checker
-replays the separating constructions of the source material exactly on
-the half line, the dictionary plane and the cone, and refutes radiality
-on the subspace lattice from the exact absorbing characterisation.
+deciders, apply each construction and re-decide.  The radial, product,
+hereditary and transport checks are ``check_law`` runs too, over
+distinct sampled pairs, with one predicate, ``_separates``: the pair's
+exact separator holds exactly one point and is exactly absorbing.  The
+separators replay the constructions of the source material on the half
+line, the dictionary plane and the cone; radiality on the subspace
+lattice is refuted from the exact absorbing characterisation.  A trace
+on a subevs absorbs there because its separator absorbs in the whole
+space, a lemma, not a sampled grid.
 """
 
 import random
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import scalars as sc
 from . import sets as st
-from ._backend import ZERO, Rat, rat
+from ._backend import rat
 from .core import EvsDescriptor, product_evs
 from .instances import OrderIso
-from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
-                      rendered, subseed, unfalsified)
+from .outcome import (PAIR_CAP, CheckOutcome, check_law, refuted, rendered,
+                      subseed, unfalsified)
 
 _CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
 
@@ -143,40 +148,38 @@ def radial_separator(E: EvsDescriptor, x, y):
     """An exactly absorbing set containing exactly one of x != y.
 
     Implements the separating constructions for the half line, the
-    dictionary plane, the cone product and product cylinders; raises
-    ValueError for the subspace lattice, which is not radial.
+    dictionary plane and the cone product (``_SEPARATORS``); raises
+    ValueError for any other kind, the subspace lattice (not radial) and
+    products (see ``product_cylinder_separator``) included.
     """
     if E.eq(x, y):
         raise ValueError("separation needs two distinct points")
     kind = E.element_kind
-    if kind == "halfline":
-        lo_pt, hi_pt = (x, y) if x < y else (y, x)
-        r = (lo_pt + hi_pt) / 2
-        return st.iu((0, r))
-    if kind == "dict2":
-        (x1, y1), (x2, y2) = x, y
-        if x1 != x2:
-            # keep the point with the smaller first coordinate
-            keep = x if x1 < x2 else y
-            r = (x1 + x2) / 2
-            return st.box_union([st.box(r, keep[1] + 1)])
-        # same first coordinate: cut between the y values
-        cut = (y1 + y2) / 2
-        return st.box_union([st.box(x1 + 1, cut)])
-    if kind == "cone":
-        return _cone_separator(E, x, y)
     if kind == "product":
         raise ValueError("use product_cylinder_separator for products")
     if kind == "lattice2":
         raise ValueError("the subspace lattice is not radial")
-    raise ValueError(f"no exact separator construction for {E.name}")
+    if kind not in _SEPARATORS:
+        raise ValueError(f"no exact separator construction for {E.name}")
+    return _SEPARATORS[kind](E, x, y)
+
+
+def _dict2_separator(E: EvsDescriptor, x, y):
+    (x1, y1), (x2, y2) = x, y
+    if x1 != x2:
+        # keep the point with the smaller first coordinate
+        keep = x if x1 < x2 else y
+        r = (x1 + x2) / 2
+        return st.box_union([st.box(r, keep[1] + 1)])
+    # same first coordinate: cut between the y values
+    cut = (y1 + y2) / 2
+    return st.box_union([st.box(x1 + 1, cut)])
 
 
 def _cone_separator(E: EvsDescriptor, x, y):
     """Absorbing slice containing x but not y (or the other way around):
     a basic [0,s) x ball(t) avoiding one point, with the kept point
     adjoined if needed."""
-    (r1, a1), (r2, a2) = x, y
     theta = E.zero
 
     def basic_avoiding(pt):
@@ -194,42 +197,67 @@ def _cone_separator(E: EvsDescriptor, x, y):
     return U if U.member(x) else st.set_with_point(U, x)
 
 
+# the element kinds with an exact separator construction
+_SEPARATORS = {
+    "halfline": lambda E, x, y: st.iu((0, (x + y) / 2)),
+    "dict2": _dict2_separator,
+    "cone": _cone_separator,
+}
+
+
+def _distinct_pairs(E: EvsDescriptor, xs, ys) -> list:
+    return [(x, y) for x, y in zip(xs, ys) if not E.eq(x, y)]
+
+
+def _separates(A, x, y, base=None) -> bool:
+    """A holds exactly one of x and y, and ``st.is_absorbing(A)`` is
+    Proven.  A set built from a separator, a product cylinder over it or
+    its trace on a subevs, passes that separator as ``base``: base's
+    absorbency is decided, and the construction's lemma carries it to
+    A."""
+    return (st.set_member(A, x) != st.set_member(A, y)
+            and st.is_absorbing(A if base is None else base).proven)
+
+
+class _Clauses(NamedTuple):
+    """How a refuted separation case ``(A, x, y, ...)`` reads: the
+    points' renderer, A's witness key and the detail of each clause of
+    ``_separates``."""
+    render: Callable
+    key: str
+    not_separated: str
+    not_absorbing: str
+
+    def witness(self, A, x, y, *_) -> dict:
+        return {"x": self.render(x), "y": self.render(y),
+                self.key: A.render(), "_raw": (x, y, A)}
+
+    def detail(self, A, x, y, *_) -> str:
+        return self.not_separated if st.set_member(A, x) == \
+            st.set_member(A, y) else self.not_absorbing
+
+
 def check_radial(E: EvsDescriptor, budget: int, seed: int) -> CheckOutcome:
-    """Per-pair separation on sampled distinct pairs."""
+    """Per-pair separation on sampled distinct pairs.  A kind without a
+    separator construction ends Unfalsified; the subspace lattice is
+    Refuted from its exact absorbing characterisation."""
     n = max(4, budget // 4)
-    xs = E.sample(subseed(seed, "rad:x"), n)
-    ys = E.sample(subseed(seed, "rad:y"), n)
     if E.element_kind == "lattice2":
         x, y = st.ZERO_SUBSPACE, st.FULL_SUBSPACE
         return refuted(
-            {"x": E.render(x), "y": E.render(y), "_raw": (x, y)},
-            len(xs), seed,
+            {"x": E.render(x), "y": E.render(y), "_raw": (x, y)}, n, seed,
             "the only absorbing family is the whole lattice, which "
             "contains both points of every pair")
-    tried = 0
-    all_proven = True
-    for x, y in zip(xs, ys):
-        if E.eq(x, y):
-            continue
-        tried += 1
-        try:
-            A = radial_separator(E, x, y)
-        except ValueError:
-            all_proven = False
-            continue
-        inx, iny = st.set_member(A, x), st.set_member(A, y)
-        if inx == iny:
-            return refuted({"x": E.render(x), "y": E.render(y),
-                            "set": A.render(), "_raw": (x, y, A)},
-                           tried, seed, "separator failed to separate")
-        if not st.is_absorbing(A).proven:
-            return refuted({"x": E.render(x), "y": E.render(y),
-                            "set": A.render(), "_raw": (x, y, A)},
-                           tried, seed, "separator is not absorbing")
-    if all_proven and tried:
-        return proven(f"exact separators for all {tried} sampled pairs",
-                      tried, seed)
-    return unfalsified(tried, seed)
+    pairs = _distinct_pairs(E, E.sample(subseed(seed, "rad:x"), n),
+                            E.sample(subseed(seed, "rad:y"), n))
+    if E.element_kind not in _SEPARATORS or not pairs:
+        return unfalsified(len(pairs), seed)
+    how = _Clauses(E.render, "set", "separator failed to separate",
+                   "separator is not absorbing")
+    return check_law(
+        ((radial_separator(E, x, y), x, y) for x, y in pairs), _separates,
+        how.witness, how.detail, seed,
+        f"exact separators for all {len(pairs)} sampled pairs")
 
 
 def product_cylinder_separator(parts: Sequence[EvsDescriptor], x, y):
@@ -250,69 +278,41 @@ def check_radial_product_and_hereditary(
         budget: int, seed: int) -> CheckOutcome:
     """Replay the productive and hereditary constructions exactly.
 
-    ``subevs_specs`` is a list of (E, sample_y, trace) triples: ``sample_y``
-    draws members of the subevs Y, ``trace`` maps a separator of E to its
-    intersection with Y, and the check verifies membership and
-    absorbency-within-Y on the sampled members.
+    A product pair is separated by a cylinder over one factor's
+    separator, and a cylinder absorbs iff its factor does.
+    ``subevs_specs`` is a list of (E, sample_y, trace) triples:
+    ``sample_y`` draws members of the subevs Y and ``trace`` maps a
+    separator A of E to A & Y.  A pair of Y is separated by the trace
+    of its separator in E, whose absorbency is decided exactly in E:
+    Y is closed under the action, so an A that absorbs every z of E
+    absorbs it within A & Y when z is in Y.
     """
-    tried = 0
-    # productive part
+    cases = []
     if parts:
         prod = product_evs(parts)
-        xs = prod.sample(subseed(seed, "prod:x"), max(4, budget // 8))
-        ys = prod.sample(subseed(seed, "prod:y"), max(4, budget // 8))
-        for x, y in zip(xs, ys):
-            if prod.eq(x, y):
-                continue
-            tried += 1
+        n = max(4, budget // 8)
+        pairs = _distinct_pairs(prod, prod.sample(subseed(seed, "prod:x"), n),
+                                prod.sample(subseed(seed, "prod:y"), n))
+        how = _Clauses(prod.render, "cylinder", "cylinder failed to separate",
+                       "cylinder factor is not absorbing")
+        for x, y in pairs:
             cyl, i = product_cylinder_separator(parts, x, y)
-            inx, iny = cyl.member(x), cyl.member(y)
-            if inx == iny:
-                return refuted(
-                    {"x": prod.render(x), "y": prod.render(y),
-                     "cylinder": cyl.render(), "_raw": (x, y, cyl)},
-                    tried, seed, "cylinder failed to separate")
-            if not st.is_absorbing(cyl.factors[i]).proven:
-                return refuted(
-                    {"factor": i, "set": cyl.factors[i].render(),
-                     "_raw": (cyl,)},
-                    tried, seed, "cylinder factor is not absorbing")
-    # hereditary part
+            cases.append((cyl, x, y, cyl.factors[i], how))
     for E, sample_y, trace in subevs_specs:
         pool = sample_y(subseed(seed, "her:z"), max(8, budget // 4))
-        for x, y in zip(pool, pool[1:]):
-            if E.eq(x, y):
-                continue
-            tried += 1
+        how = _Clauses(E.render, "set",
+                       "trace on the subevs failed to separate",
+                       "separator is not absorbing")
+        for x, y in _distinct_pairs(E, pool, pool[1:]):
             A = radial_separator(E, x, y)
-            AY = trace(A)
-            inx, iny = st.set_member(AY, x), st.set_member(AY, y)
-            if inx == iny:
-                return refuted(
-                    {"x": E.render(x), "y": E.render(y),
-                     "set": AY.render(), "_raw": (x, y, AY)},
-                    tried, seed, "trace on the subevs failed to separate")
-            # absorbing within Y: mu-orbits of sampled members stay in AY
-            for z in pool[: max(4, budget // 16)]:
-                alpha = _absorb_bound(AY, E, z)
-                if alpha is None:
-                    return refuted(
-                        {"z": E.render(z), "set": AY.render(),
-                         "_raw": (z, AY)},
-                        tried, seed, "no absorbing bound found within Y")
-    if tried == 0:
+            cases.append((trace(A), x, y, A, how))
+    if not cases:
         return unfalsified(0, seed, "no distinct sampled pairs")
-    return proven(f"constructions re-verified on {tried} pairs", tried, seed)
-
-
-def _absorb_bound(A, E: EvsDescriptor, z) -> Optional[object]:
-    """Search a bound alpha whose sampled mu-grid keeps mu.z inside A."""
-    for k in (1, 2, 4, 16, 64, 256, 1024):
-        a = Rat(1, k)
-        mus = [sc.Scalar(a / j, ZERO) for j in (1, 2, 3, 7)] + [sc.S_ZERO]
-        if all(st.set_member(A, E.scale(mu, z)) for mu in mus):
-            return a
-    return None
+    return check_law(
+        cases, lambda A, x, y, base, how: _separates(A, x, y, base),
+        lambda *case: case[-1].witness(*case),
+        lambda *case: case[-1].detail(*case), seed,
+        f"constructions re-verified on {len(cases)} pairs")
 
 
 # --------------------------------------------------------------- transport
@@ -335,45 +335,35 @@ def check_absorbing_transport(phi: OrderIso, budget: int,
     map onto a proper subevs decides phi(A) within that subevs, through
     its ``image_view``."""
     rng = random.Random(subseed(seed, "transport"))
-    tried = 0
-    for _ in range(max(4, budget)):
-        tried += 1
-        A = st.random_interval_union(rng)
-        before = st.is_absorbing(A).verdict
-        image = transport_set(phi, A)
-        after = st.is_absorbing(phi.image_view(image)).verdict
-        if before != after:
-            return refuted({"A": A.render(), "image": image.render(),
-                            "before": before, "after": after,
-                            "_raw": (A, image)},
-                           tried, seed, "absorbing verdict not preserved")
-    return proven("exact deciders agree on both sides for every sample",
-                  tried, seed)
+    sets = (st.random_interval_union(rng) for _ in range(max(4, budget)))
+    images = ((A, transport_set(phi, A)) for A in sets)
+    return check_law(
+        ((A, image, st.is_absorbing(A).verdict,
+          st.is_absorbing(phi.image_view(image)).verdict)
+         for A, image in images),
+        lambda A, image, before, after: before == after,
+        lambda A, image, before, after: {
+            "A": A.render(), "image": image.render(), "before": before,
+            "after": after, "_raw": (A, image)},
+        "absorbing verdict not preserved", seed,
+        "exact deciders agree on both sides for every sample")
 
 
 def check_radial_transport(phi: OrderIso, budget: int,
                            seed: int) -> CheckOutcome:
-    """Radial verdict class is identical before and after transport."""
+    """Radial verdict class is identical before and after transport:
+    each pair's separator separates exactly when the separator of its
+    image does."""
     E, F = phi.domain, phi.codomain
     n = max(4, budget // 4)
-    xs = E.sample(subseed(seed, "rt:x"), n)
-    ys = E.sample(subseed(seed, "rt:y"), n)
-    tried = 0
-    for x, y in zip(xs, ys):
-        if E.eq(x, y):
-            continue
-        tried += 1
-        A = radial_separator(E, x, y)
-        fx, fy = phi.forward(x), phi.forward(y)
-        B = radial_separator(F, fx, fy) if F.element_kind != "product" \
-            else None
-        okA = st.set_member(A, x) != st.set_member(A, y) and \
-            st.is_absorbing(A).proven
-        okB = B is not None and \
-            st.set_member(B, fx) != st.set_member(B, fy) and \
-            st.is_absorbing(B).proven
-        if okA != okB:
-            return refuted({"x": E.render(x), "y": E.render(y),
-                            "_raw": (x, y)}, tried, seed,
-                           "separability not preserved by transport")
-    return proven(f"verdict class preserved on {tried} pairs", tried, seed)
+    pairs = _distinct_pairs(E, E.sample(subseed(seed, "rt:x"), n),
+                            E.sample(subseed(seed, "rt:y"), n))
+    return check_law(
+        ((x, y, phi.forward(x), phi.forward(y)) for x, y in pairs),
+        lambda x, y, fx, fy: (
+            _separates(radial_separator(E, x, y), x, y)
+            == _separates(radial_separator(F, fx, fy), fx, fy)),
+        lambda x, y, *_: {"x": E.render(x), "y": E.render(y),
+                          "_raw": (x, y)},
+        "separability not preserved by transport", seed,
+        f"verdict class preserved on {len(pairs)} pairs")

@@ -3,8 +3,9 @@
 re-exports), every function and upper-case constant is reached by
 another module or named in the README's public API, which is exactly
 ``evslab.__all__``, no verdict rests on an ``assert``, no decider
-samples and every seeded draw goes through the ``_backend`` draw
-helpers.
+samples, every seeded draw goes through the ``_backend`` draw helpers
+and ``core`` and ``setlaws`` build a Proven only through
+``outcome.check_law``.
 """
 
 import ast
@@ -299,3 +300,45 @@ def test_draw_checker_sees_method_calls():
                          ids=lambda p: p.name)
 def test_seeded_draws_use_the_draw_helpers(path):
     assert _slow_draws(path.read_text(encoding="utf-8")) == []
+
+
+def _proven_calls(source: str) -> list:
+    """Lines that call ``outcome.proven``: by a name imported from
+    ``outcome`` (aliases included) or as an attribute of the module."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module and node.module.endswith("outcome") \
+                        and alias.name == "proven":
+                    names.add(alias.asname or alias.name)
+                elif alias.name == "outcome":
+                    modules.add(alias.asname or alias.name)
+    return sorted(
+        n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+        and (isinstance(n.func, ast.Name) and n.func.id in names
+             or isinstance(n.func, ast.Attribute) and n.func.attr == "proven"
+             and isinstance(n.func.value, ast.Name)
+             and n.func.value.id in modules))
+
+
+def test_proven_call_checker_sees_names_aliases_and_attributes():
+    src = ("from .outcome import proven, refuted\n"
+           "from . import outcome as oc\n"
+           "from .outcome import proven as ok\n"
+           "proven('a')\n"
+           "x = st.is_absorbing(A).proven\n"
+           "oc.proven('b')\n"
+           "ok('c')\n"
+           "refuted({}, detail='d')\n"
+           "check_law(cases, holds, w, 'e', 0, proven_detail='f')\n")
+    assert _proven_calls(src) == [4, 6, 7]
+    assert _proven_calls("def proven(): pass\nproven()\n") == []
+
+
+@pytest.mark.parametrize("name", ["core.py", "setlaws.py"])
+def test_law_drivers_prove_only_through_check_law(name):
+    # every Proven of the axiom, law, radial and transport checkers is
+    # check_law's proven_detail, the one place a Proven is built for them
+    assert _proven_calls((SRC / name).read_text(encoding="utf-8")) == []

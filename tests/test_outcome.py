@@ -4,7 +4,7 @@ import pytest
 
 from evslab import make_instance
 from evslab.outcome import (PROVEN, REFUTED, UNFALSIFIED, CheckOutcome,
-                            proven, refuted, unfalsified)
+                            check_law, proven, refuted, unfalsified)
 from evslab.setlaws import check_absorbing_closure_laws
 from evslab.topology import check_bounded_laws
 
@@ -79,3 +79,13 @@ def test_law_runs_render_nothing_they_do_not_report(rat_str_calls):
     closure = check_absorbing_closure_laws(H, 300, 7)
     assert all(o.proven for o in (*bounded.values(), *closure.values()))
     assert rat_str_calls == []
+
+
+def test_law_detail_may_depend_on_the_refuting_case():
+    def law(detail):
+        return check_law([(1, 2), (3, 3), (5, 4)], lambda a, b: a < b,
+                         lambda a, b: {"a": a, "b": b}, detail, 7)
+
+    assert law(lambda a, b: "equal" if a == b else "greater") == \
+        refuted({"a": 3, "b": 3}, 2, 7, "equal")
+    assert law("not less").detail == "not less"

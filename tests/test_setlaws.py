@@ -3,11 +3,13 @@ import random
 import pytest
 
 from evslab import scalars as sc
+from evslab import setlaws
 from evslab import sets as st
 from evslab import topology
 from evslab._backend import Rat, rat
-from evslab.instances import MORPHISMS, cone_product, dict_plane, half_line, \
-    make_instance, subspace_lattice
+from evslab.core import product_evs
+from evslab.instances import MORPHISMS, OrderIso, cone_product, dict_plane, \
+    half_line, make_instance, subspace_lattice
 from evslab.outcome import refuted
 from evslab.setlaws import (check_absorbing_closure_laws,
                             check_absorbing_transport,
@@ -172,6 +174,15 @@ def test_transport_checks_proven():
         assert check_radial_transport(phi, 400, 42).proven
 
 
+def test_radial_transport_into_a_product_has_no_separator():
+    # a one-factor product of the half line is radial; the check has no
+    # separator for a product codomain, so it says so instead of Refuted
+    phi = OrderIso("into-product", half_line(), product_evs([half_line()]),
+                   forward=lambda r: (r,), inverse=lambda x: x[0])
+    with pytest.raises(ValueError, match="use product_cylinder_separator"):
+        check_radial_transport(phi, 40, 7)
+
+
 def test_transport_requires_inverse():
     phi = MORPHISMS["shift"]()
     with pytest.raises(ValueError):
@@ -235,3 +246,148 @@ def test_refuted_laws_report_witness_and_position(monkeypatch):
         assert out.refuted, law_id
         assert (out.samples_tried, out.detail, out.witness, out.seed) == \
             (position, detail, witness, 7), law_id
+
+
+def _radius(A):
+    """The sup of a half-line set, or of a cone slice's first piece."""
+    return (A.pieces[0][0] if isinstance(A, st.ProductSlice) else A).sup()[0]
+
+
+def _refute_wide(real, bound, carriers):
+    """The exact decider, except that a set of ``carriers`` whose radius
+    exceeds ``bound`` is refuted."""
+    def decider(A, *args, **kwargs):
+        if isinstance(A, carriers) and (_radius(A) is st.INF
+                                        or _radius(A) > bound):
+            return refuted({"set": A.render()}, detail="planted")
+        return real(A, *args, **kwargs)
+    return decider
+
+
+def _hold_both(real, kind, bound):
+    """The exact separator, except that on ``kind`` a pair whose radii
+    both exceed ``bound`` gets a set that holds both points."""
+    def separator(E, x, y):
+        if E.element_kind == kind == "halfline" and min(x, y) > bound:
+            return st.iu((0, x + y))
+        if E.element_kind == kind == "cone" and min(x[0], y[0]) > bound:
+            return st.product_slice((st.iu((0, x[0] + y[0])), st.ball(1)))
+        return real(E, x, y)
+    return separator
+
+
+def _product_and_hereditary(budget, seed):
+    return check_radial_product_and_hereditary(
+        [half_line(), dict_plane()],
+        [(cone_product(1), cone_zero_sampler, lambda A: A)], budget, seed)
+
+
+def _radial():
+    return check_radial(half_line(), 400, 7)
+
+
+def _product():
+    return _product_and_hereditary(400, 7)
+
+
+_SEPARATION_REFUTED = {
+    # clause: (kind of the planted separator, carriers of the planted
+    #          decider, check, (samples_tried, detail, public witness))
+    "radial.not-separated": (
+        "halfline", None, _radial,
+        (43, "separator failed to separate",
+         {"x": "4", "y": "6", "set": "[0,10)"})),
+    "radial.not-absorbing": (
+        None, (st.IntervalUnion,), _radial,
+        (2, "separator is not absorbing",
+         {"x": "2", "y": "5", "set": "[0,7/2)"})),
+    "transport.absorbing": (
+        None, (st.IntervalUnion,),
+        lambda: check_absorbing_transport(MORPHISMS["doubling"](), 200, 7),
+        (9, "absorbing verdict not preserved",
+         {"A": "[0,8/5]", "image": "[0,16/5]", "before": "Proven",
+          "after": "Refuted"})),
+    "transport.radial": (
+        None, (st.IntervalUnion,),
+        lambda: check_radial_transport(MORPHISMS["doubling"](), 400, 7),
+        (4, "separability not preserved by transport",
+         {"x": "4", "y": "1/5"})),
+    "cylinder.not-separated": (
+        "halfline", None, _product,
+        (30, "cylinder failed to separate",
+         {"x": "(5, (6/5, 2/3))", "y": "(4, (5/3, 1/3))",
+          "cylinder": "[0,9) x ALL"})),
+    "cylinder.not-absorbing": (
+        None, (st.IntervalUnion,), _product,
+        (10, "cylinder factor is not absorbing",
+         {"x": "(2, (1, 0))", "y": "(6, (5, 3))",
+          "cylinder": "[0,4) x ALL"})),
+    "trace.not-separated": (
+        "cone", None, _product,
+        (52, "trace on the subevs failed to separate",
+         {"x": "(34/3, (0))", "y": "(27/4, (0))",
+          "set": "[0,217/12)xball(1)"})),
+    "trace.not-absorbing": (
+        None, (st.ProductSlice,), _product,
+        (51, "separator is not absorbing",
+         {"x": "(11/8, (0))", "y": "(34/3, (0))",
+          "set": "[0,34/3)xball(1)"})),
+}
+
+
+@pytest.mark.parametrize("clause", _SEPARATION_REFUTED)
+def test_refuted_separation_reports_witness_and_position(monkeypatch,
+                                                         clause):
+    # each clause of the radial, product/hereditary and transport checks,
+    # reached through a planted separator or a planted absorbing decider;
+    # samples_tried is the 1-based position of the refuting case
+    kind, carriers, check, expected = _SEPARATION_REFUTED[clause]
+    if kind is not None:
+        monkeypatch.setattr(setlaws, "radial_separator",
+                            _hold_both(setlaws.radial_separator, kind, 3))
+    if carriers is not None:
+        monkeypatch.setattr(st, "is_absorbing",
+                            _refute_wide(st.is_absorbing, 3, carriers))
+    out = check()
+    assert out.refuted
+    public = {k: v for k, v in out.witness.items() if not k.startswith("_")}
+    assert (out.samples_tried, out.detail, public, out.seed) == \
+        (*expected, 7)
+
+
+# ------------------------------------------------------------ cost growth
+
+_SEPARATION_DRIVERS = {
+    "radial.halfline": lambda B: check_radial(half_line(), B, 7),
+    "radial.dict2": lambda B: check_radial(dict_plane(), B, 7),
+    "radial.cone:2": lambda B: check_radial(cone_product(2), B, 7),
+    **{f"transport.{kind}.{name}": (
+        lambda B, check=check, name=name: check(MORPHISMS[name](), B, 7))
+       for name in ("doubling", "embed")
+       for kind, check in (("absorbing", check_absorbing_transport),
+                           ("radial", check_radial_transport))},
+    "product-and-hereditary": lambda B: _product_and_hereditary(B, 7),
+}
+
+
+@pytest.mark.parametrize("driver", _SEPARATION_DRIVERS)
+def test_separation_drivers_grow_linearly(monkeypatch, driver):
+    # membership and absorbency decisions at budgets B and 4B: a driver
+    # linear in its budget makes about 4x as many, a quadratic one 16x
+    calls = {"set_member": 0, "is_absorbing": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(st, name, counted(name, getattr(st, name)))
+    counts = []
+    for budget in (200, 800):
+        for name in calls:
+            calls[name] = 0
+        assert _SEPARATION_DRIVERS[driver](budget).proven
+        counts.append(sum(calls.values()))
+    assert 0 < counts[1] <= 4.5 * counts[0], counts
