@@ -32,7 +32,7 @@ class ReportRecord:
     instance: str
     suite: str
     outcome: CheckOutcome
-    elapsed: float = 0.0
+    elapsed: float
 
     def public_witness(self) -> Optional[dict]:
         if self.outcome.witness is None:
@@ -77,9 +77,15 @@ def _timed(check_id, instance, suite, thunk) -> ReportRecord:
                         time.perf_counter() - t0)
 
 
-def _records_from_map(prefix, instance, suite, mapping) -> List[ReportRecord]:
-    return [ReportRecord(f"{prefix}.{key}", instance, suite, outcome)
-            for key, outcome in mapping.items()]
+def _suite(prefix, instance, suite, driver, *args) -> List[ReportRecord]:
+    """One record per entry of the dict ``driver(*args)``, its check id
+    the entry's key after ``prefix``; the driver's measured time is
+    shared evenly among its records."""
+    t0 = time.perf_counter()
+    verdicts = driver(*args)
+    share = (time.perf_counter() - t0) / max(1, len(verdicts))
+    return [ReportRecord(prefix + key, instance, suite, outcome, share)
+            for key, outcome in verdicts.items()]
 
 
 # ------------------------------------------------------------ suite runners
@@ -93,13 +99,8 @@ def _instance(spec: str):
 
 def run_axioms(spec: str, budget: int, seed: int) -> List[ReportRecord]:
     E = _instance(spec)
-    t0 = time.perf_counter()
-    verdicts = core.check_axioms(E, budget, seed)
-    elapsed = time.perf_counter() - t0
-    recs = _records_from_map("axioms", E.name, "axioms", verdicts)
-    for r in recs:
-        r.elapsed = elapsed / max(1, len(recs))
-    return recs
+    return _suite("axioms.", E.name, "axioms", core.check_axioms,
+                  E, budget, seed)
 
 
 def run_sets(spec: str, budget: int, seed: int,
@@ -107,12 +108,9 @@ def run_sets(spec: str, budget: int, seed: int,
     E = _instance(spec)
     recs: List[ReportRecord] = []
     if setlaws.has_interval_sets(E):
-        recs += _records_from_map(
-            "sets", E.name, "sets",
-            setlaws.check_absorbing_closure_laws(E, budget, seed))
-        recs += _records_from_map(
-            "sets", E.name, "sets",
-            setlaws.check_balanced_closure_laws(E, budget, seed))
+        for driver in (setlaws.check_absorbing_closure_laws,
+                       setlaws.check_balanced_closure_laws):
+            recs += _suite("sets.", E.name, "sets", driver, E, budget, seed)
     for i, A in enumerate(_load_sets(input_path, E.element_kind,
                                      nonempty=True)):
         recs.append(_timed(
@@ -139,9 +137,9 @@ def run_bounded(spec: str, budget: int, seed: int,
     E = _instance(spec)
     recs: List[ReportRecord] = []
     if setlaws.has_interval_sets(E):
-        recs += [ReportRecord(law_id, E.name, "bounded", outcome)
-                 for law_id, outcome in topology.check_bounded_laws(
-                     E, budget, seed).items()]
+        # the law ids already start with "bounded."
+        recs += _suite("", E.name, "bounded", topology.check_bounded_laws,
+                       E, budget, seed)
     inputs = _load_sets(input_path, E.element_kind, nonempty=True)
     for A in inputs:
         if not hasattr(A, "bounded"):
@@ -170,10 +168,11 @@ def run_localbase(spec: str, budget: int, seed: int,
     else:
         family = list(topology.usual_base(8))
     try:
-        verdicts = topology.check_local_base_conditions(family, budget, seed)
+        return _suite("localbase.", E.name, "localbase",
+                      topology.check_local_base_conditions,
+                      family, budget, seed)
     except ValueError as exc:  # a family member without theta, or none
         raise click.UsageError(str(exc))
-    return _records_from_map("localbase", E.name, "localbase", verdicts)
 
 
 def run_audit(input_path: str) -> List[ReportRecord]:

@@ -141,13 +141,6 @@ def modulus_squared(lam: Scalar):
     return Rat(a * a + b * b, d * d)
 
 
-def modulus_leq(lam: Scalar, c) -> bool:
-    """Decide |lam| <= c without taking roots.  Requires c >= 0."""
-    if c < 0:
-        raise ValueError("modulus bound must be >= 0")
-    return modulus_squared(lam) <= c * c
-
-
 def modulus(lam: Scalar):
     """Exact |lam| as a rational; raises for non-Pythagorean scalars."""
     m = lam._modulus
@@ -213,44 +206,25 @@ def _random_unit(rng: random.Random) -> Scalar:
     return PYTHAGOREAN_UNITS[draw_int(rng, 0, len(PYTHAGOREAN_UNITS) - 1)]
 
 
-def sample_scalars(radius_bound, count: int, seed: int, mode: str = ANY_SCALAR):
-    """Deterministic list of scalars with |lam| <= radius_bound.
+def sample_scalars(radius_bound, count: int, seed: int):
+    """Deterministic list of Pythagorean scalars with |lam| <= radius_bound.
 
-    In PythagoreanOnly mode every sample has rational modulus (rational
-    multiples of unit-modulus Pythagorean scalars plus pure rationals).
+    After the fixed scalars 0, +-radius_bound and radius_bound.(3+4i)/5
+    come products q.u of a rational 0 <= q <= radius_bound and a drawn
+    unit u of ``PYTHAGOREAN_UNITS``, so every modulus is rational.
     """
     radius_bound = rat(radius_bound)
     if radius_bound <= 0:
         raise ValueError("radiusBound must be > 0")
     rng = random.Random(seed)
-    out = []
-    fixed = [S_ZERO, scale_unit(S_ONE, radius_bound), scale_unit(S_MINUS_ONE, radius_bound)]
-    if mode == PYTHAGOREAN_ONLY:
-        fixed.append(scale_unit(Scalar(rat(3, 5), rat(4, 5)), radius_bound))
-    for lam in fixed:
-        if len(out) < count:
-            out.append(lam)
+    fixed = (S_ZERO, S_ONE, S_MINUS_ONE, Scalar(rat(3, 5), rat(4, 5)))
+    out = [scale_unit(u, radius_bound) for u in fixed[:count]]
     while len(out) < count:
         q = abs(_random_rat(rng))
         if q > radius_bound:
-            q = radius_bound * q.denominator / (q.denominator + abs(q.numerator))
-        if mode == PYTHAGOREAN_ONLY:
-            u = _random_unit(rng)
-            lam = scale_unit(u, q)
-        else:
-            if rng.random() < 0.5:
-                lam = Scalar(q if rng.random() < 0.5 else -q, ZERO)
-            else:
-                a, b = _random_rat(rng), _random_rat(rng)
-                lam = Scalar(a, b)
-                ms = modulus_squared(lam)
-                if ms > radius_bound * radius_bound and ms > 0:
-                    # shrink by a rational factor below 1/|lam|
-                    shrink = radius_bound * radius_bound / (ms + 1)
-                    lam = scale_unit(lam, shrink)
-        if modulus_leq(lam, radius_bound):
-            out.append(lam)
-    return out[:count]
+            q = radius_bound * q.denominator / (q.denominator + q.numerator)
+        out.append(scale_unit(_random_unit(rng), q))
+    return out
 
 
 def scale_unit(u: Scalar, q) -> Scalar:
@@ -272,13 +246,10 @@ def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,
     specials = [S_ZERO, S_ONE, S_MINUS_ONE]
     if mode == ANY_SCALAR:
         specials.append(S_I)
-    out = []
-    # deterministic boundary tuples first
-    for lam in specials:
-        out.append(tuple([lam] * k))
-        if len(out) >= count:
-            return out[:count]
+    # deterministic boundary tuples first; nothing is drawn before the cut
+    out = [tuple([lam] * k) for lam in specials]
     out.append(tuple(specials[i % len(specials)] for i in range(k)))
+    out = out[:count]
     while len(out) < count:
         if mode == PYTHAGOREAN_ONLY:
             u = _random_unit(rng)
@@ -291,4 +262,4 @@ def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,
                 for _ in range(k)
             )
         out.append(tup)
-    return out[:count]
+    return out

@@ -64,8 +64,7 @@ def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
     anything = _random_corpus(n, subseed(seed, "abs:any"), lambda A: True)
     partners = absorbing[:PAIR_CAP]
     extras = anything[:PAIR_CAP]
-    lams = [l for l in sc.sample_scalars(rat(3), 8, subseed(seed, "abs:lam"),
-                                         sc.PYTHAGOREAN_ONLY)
+    lams = [l for l in sc.sample_scalars(rat(3), 8, subseed(seed, "abs:lam"))
             if not l.is_zero()]
     law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
     return {
@@ -111,8 +110,7 @@ def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
     balanced = _random_corpus(n, subseed(seed, "bal:gen"),
                               lambda A: st.is_balanced(A).proven)
     partners = balanced[:PAIR_CAP]
-    lams = sc.sample_scalars(rat(4), 8, subseed(seed, "bal:lam"),
-                             sc.PYTHAGOREAN_ONLY)
+    lams = sc.sample_scalars(rat(4), 8, subseed(seed, "bal:lam"))
     law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
     return {
         "balanced.i": law(

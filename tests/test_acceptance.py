@@ -157,8 +157,7 @@ def test_criterion_06_boundedness():
         A = st.random_interval_union(rng)
         if topology.is_bounded_set(A).proven:
             bounded_pool.append(A)
-    lams = [l for l in sc.sample_scalars(rat(5), 12, SEED,
-                                         sc.PYTHAGOREAN_ONLY)]
+    lams = [l for l in sc.sample_scalars(rat(5), 12, SEED)]
     for i, A in enumerate(bounded_pool):
         B = bounded_pool[(i * 7 + 1) % len(bounded_pool)]
         assert topology.is_bounded_set(st.iu_minkowski(A, B)).proven

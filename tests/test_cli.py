@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,25 @@ def test_record_shape(runner):
         assert {"checkId", "instance", "suite", "verdict", "samplesTried",
                 "seed"} <= set(r)
         assert r["suite"] == "axioms"
+
+
+def test_elapsed_accounts_for_the_run(runner):
+    # every record carries measured time: a law driver's rows share its
+    # time, so the records of `all` sum to nearly the whole call (the best
+    # of three calls, so one pause outside the drivers cannot decide it)
+    args = ["all", "halfline", "--budget", "200", "--seed", "7",
+            "--format", "jsonlines", "--findings-ok"]
+    coverage = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = runner.invoke(main, args)
+        wall = time.perf_counter() - t0
+        assert res.exit_code == 0, res.output
+        elapsed = [json.loads(ln)["elapsed"]
+                   for ln in res.output.splitlines()]
+        assert len(elapsed) == 36 and 0.0 not in elapsed
+        coverage.append(sum(elapsed) / wall)
+    assert max(coverage) >= 0.8, coverage
 
 
 def test_witnesses_hide_raw_keys(runner):

@@ -52,30 +52,33 @@ def test_modulus_raises_on_irrational():
         sc.modulus(lam)
 
 
-def test_modulus_comparisons_avoid_roots():
-    lam = sc.Scalar(rat(1), rat(1))
-    assert sc.modulus_leq(lam, rat(2))
-    assert not sc.modulus_leq(lam, rat(1))
-    with pytest.raises(ValueError):
-        sc.modulus_leq(lam, rat(-1))
-
-
 def test_pythagorean_units_have_unit_modulus():
     for u in sc.PYTHAGOREAN_UNITS:
         assert sc.modulus_squared(u) == 1
 
 
 def test_sample_scalars_deterministic_and_bounded():
-    a = sc.sample_scalars(rat(2), 30, 7, sc.ANY_SCALAR)
-    b = sc.sample_scalars(rat(2), 30, 7, sc.ANY_SCALAR)
+    a = sc.sample_scalars(rat(2), 30, 7)
+    b = sc.sample_scalars(rat(2), 30, 7)
     assert a == b
     for lam in a:
-        assert sc.modulus_leq(lam, rat(2))
+        assert sc.modulus_squared(lam) <= 4
 
 
 def test_sample_scalars_pythagorean_mode():
-    for lam in sc.sample_scalars(rat(3), 40, 11, sc.PYTHAGOREAN_ONLY):
+    for lam in sc.sample_scalars(rat(3), 40, 11):
         assert lam.exact_modulus is not None
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 8])
+def test_samplers_are_prefix_stable(count):
+    # the fixed scalars and boundary tuples are cut at count before any
+    # draw, so a shorter request is a prefix of a longer one
+    assert sc.sample_scalars(rat(7, 2), count, 3) == \
+        sc.sample_scalars(rat(7, 2), 12, 3)[:count]
+    for mode in (sc.ANY_SCALAR, sc.PYTHAGOREAN_ONLY):
+        assert sc.sample_scalar_tuples(2, count, 3, mode) == \
+            sc.sample_scalar_tuples(2, 12, 3, mode)[:count]
 
 
 def test_scalar_tuples_closed_under_field_ops():
@@ -192,7 +195,7 @@ def test_scalar_accepts_any_rational_parts():
 
 @pytest.mark.parametrize("mode", [sc.ANY_SCALAR, sc.PYTHAGOREAN_ONLY])
 def test_sampled_scalars_are_canonical(mode):
-    for lam in sc.sample_scalars(rat(1, 3), 200, 5, mode):
+    for lam in sc.sample_scalars(rat(1, 3), 200, 5):
         _assert_canonical(lam)
     for tup in sc.sample_scalar_tuples(2, 200, 5, mode):
         for lam in tup:

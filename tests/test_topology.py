@@ -198,6 +198,20 @@ def test_condition_v_witness_is_seed_stable():
     assert wa["W"] == "[0,1)" and wa["x"] == "1" and wa["alpha"] == "1"
 
 
+@pytest.mark.parametrize("family,tried,witness", [
+    ([iu((0, 1, True, True))], 18, {"x": "11", "y": "10"}),
+    ([iu((0, 1), (5, 6))], 1, {"x": "25", "y": "23"}),
+], ids=["closed-unit", "two-pieces"])
+def test_condition_iv_counts_pairs_up_to_the_refutation(family, tried,
+                                                        witness):
+    # samples_tried is the 1-based position of the refuting pair, not the
+    # number of pairs drawn (50 at budget 200)
+    out = check_local_base_conditions(family, 200, 7)["iv"]
+    assert out.refuted
+    assert (out.samples_tried, out.witness, out.seed) == (tried, witness, 7)
+    assert out.detail == "no separating member pair in the family"
+
+
 def test_local_base_rejects_bad_family():
     with pytest.raises(ValueError):
         check_local_base_conditions([], 100, 42)
