@@ -6,6 +6,7 @@ sample count and seed; jsonlines output is byte-stable across runs for a
 fixed seed except for the elapsed field.  Law suites fail the process on
 any Refuted verdict; the audit and local-base suites report Refuted
 verdicts as findings, which keep exit status 0 under --findings-ok.
+The instance suites and ``all`` run the rows of one table, ``CHECKS``.
 """
 
 import json
@@ -13,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import click
 
@@ -70,121 +71,136 @@ class ReportRecord:
         return "\n".join(parts)
 
 
-def _timed(check_id, instance, suite, thunk) -> ReportRecord:
+def _timed(check_id, instance, suite, thunk) -> List[ReportRecord]:
+    """The records of ``thunk()``: its one outcome, or one per entry of
+    its dict, the entry's key appended to ``check_id``.  The measured
+    time is shared evenly among them."""
     t0 = time.perf_counter()
-    outcome = thunk()
-    return ReportRecord(check_id, instance, suite, outcome,
-                        time.perf_counter() - t0)
+    out = thunk()
+    if not isinstance(out, dict):
+        out = {"": out}
+    share = (time.perf_counter() - t0) / max(1, len(out))
+    return [ReportRecord(check_id + key, instance, suite, outcome, share)
+            for key, outcome in out.items()]
 
 
-def _suite(prefix, instance, suite, driver, *args) -> List[ReportRecord]:
-    """One record per entry of the dict ``driver(*args)``, its check id
-    the entry's key after ``prefix``; the driver's measured time is
-    shared evenly among its records."""
-    t0 = time.perf_counter()
-    verdicts = driver(*args)
-    share = (time.perf_counter() - t0) / max(1, len(verdicts))
-    return [ReportRecord(prefix + key, instance, suite, outcome, share)
-            for key, outcome in verdicts.items()]
+# ------------------------------------------------------------- check table
+
+class Check(NamedTuple):
+    """One instance check.  ``check_id`` prefixes the keys of a driver
+    that returns a dict, names the one outcome of any other driver, and
+    carries ``{i}`` for a decider run on each --input set.  A driver is
+    called as ``driver(E, budget, seed, inputs)``, ``inputs`` being None
+    without a file; an ``{i}`` decider as ``driver(E, A, i, seed)``."""
+    suite: str
+    check_id: str
+    driver: Callable
+    applies: Callable = lambda E: True
 
 
-# ------------------------------------------------------------ suite runners
-
-def _instance(spec: str):
+def _local_base(E, budget, seed, family):
     try:
-        return make_instance(spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def run_axioms(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = _instance(spec)
-    return _suite("axioms.", E.name, "axioms", core.check_axioms,
-                  E, budget, seed)
-
-
-def run_sets(spec: str, budget: int, seed: int,
-             input_path: Optional[str]) -> List[ReportRecord]:
-    E = _instance(spec)
-    recs: List[ReportRecord] = []
-    if setlaws.has_interval_sets(E):
-        for driver in (setlaws.check_absorbing_closure_laws,
-                       setlaws.check_balanced_closure_laws):
-            recs += _suite("sets.", E.name, "sets", driver, E, budget, seed)
-    for i, A in enumerate(_load_sets(input_path, E.element_kind,
-                                     nonempty=True)):
-        recs.append(_timed(
-            f"sets.input{i}.balanced", E.name, "sets",
-            lambda A=A: st.is_balanced(A)))
-        recs.append(_timed(
-            f"sets.input{i}.absorbing", E.name, "sets",
-            lambda A=A: st.is_absorbing(A)))
-    if not recs:
-        raise click.UsageError(
-            f"instance {spec!r} has no exact interval support and no "
-            f"--input sets were given")
-    return recs
-
-
-def run_radial(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = _instance(spec)
-    return [_timed("radial", E.name, "radial",
-                   lambda: setlaws.check_radial(E, budget, seed))]
-
-
-def run_bounded(spec: str, budget: int, seed: int,
-                input_path: Optional[str]) -> List[ReportRecord]:
-    E = _instance(spec)
-    recs: List[ReportRecord] = []
-    if setlaws.has_interval_sets(E):
-        # the law ids already start with "bounded."
-        recs += _suite("", E.name, "bounded", topology.check_bounded_laws,
-                       E, budget, seed)
-    inputs = _load_sets(input_path, E.element_kind, nonempty=True)
-    for A in inputs:
-        if not hasattr(A, "bounded"):
-            raise click.UsageError(
-                f"no boundedness decider for {type(A).__name__} sets "
-                f"on {E.name}")
-    for i, A in enumerate(inputs):
-        recs.append(_timed(
-            f"bounded.input{i}", E.name, "bounded",
-            lambda A=A: topology.is_bounded_set(
-                A, subseed(seed, f"in{i}:bnd"))))
-    if not recs:
-        raise click.UsageError(
-            f"instance {spec!r} needs interval support or --input sets")
-    return recs
-
-
-def run_localbase(spec: str, budget: int, seed: int,
-                  input_path: Optional[str]) -> List[ReportRecord]:
-    E = _instance(spec)
-    if not setlaws.has_interval_sets(E):
-        raise click.UsageError(
-            "the local-base suite runs on interval-exact instances")
-    if input_path:
-        family = list(_load_sets(input_path, E.element_kind))
-    else:
-        family = list(topology.usual_base(8))
-    try:
-        return _suite("localbase.", E.name, "localbase",
-                      topology.check_local_base_conditions,
-                      family, budget, seed)
+        return topology.check_local_base_conditions(
+            topology.usual_base(8) if family is None else family,
+            budget, seed)
     except ValueError as exc:  # a family member without theta, or none
         raise click.UsageError(str(exc))
 
 
+def _bounded_input(E, A, i, seed):
+    if not hasattr(A, "bounded"):
+        raise click.UsageError(
+            f"no boundedness decider for {type(A).__name__} sets "
+            f"on {E.name}")
+    return topology.is_bounded_set(A, subseed(seed, f"in{i}:bnd"))
+
+
+# rows in report order; drivers are looked up on each call, so a patched
+# or traced library function is the one that runs
+CHECKS = (
+    Check("axioms", "axioms.",
+          lambda E, b, s, _: core.check_axioms(E, b, s)),
+    Check("axioms", "structure.primitive-scaling",
+          lambda E, b, s, _: core.check_primitive_scaling(E, b, s)),
+    Check("sets", "sets.",
+          lambda E, b, s, _: setlaws.check_absorbing_closure_laws(E, b, s),
+          setlaws.has_interval_sets),
+    Check("sets", "sets.",
+          lambda E, b, s, _: setlaws.check_balanced_closure_laws(E, b, s),
+          setlaws.has_interval_sets),
+    Check("sets", "sets.input{i}.balanced",
+          lambda E, A, i, s: st.is_balanced(A)),
+    Check("sets", "sets.input{i}.absorbing",
+          lambda E, A, i, s: st.is_absorbing(A)),
+    # the law ids already start with "bounded."
+    Check("bounded", "",
+          lambda E, b, s, _: topology.check_bounded_laws(E, b, s),
+          setlaws.has_interval_sets),
+    Check("bounded", "bounded.input{i}", _bounded_input),
+    Check("localbase", "localbase.", _local_base, setlaws.has_interval_sets),
+    Check("radial", "radial",
+          lambda E, b, s, _: setlaws.check_radial(E, b, s)),
+)
+
+
+# ------------------------------------------------------------ suite runners
+
+def run_suite(suite: str, spec: str, budget: int, seed: int,
+              input_path: Optional[str] = None) -> List[ReportRecord]:
+    """The records of the ``CHECKS`` rows of ``suite`` that apply to the
+    instance, or of every row for ``all``: each law row in table order,
+    then the ``{i}`` rows on each --input set in turn.  The
+    ``structure.*`` rows run only under ``all``."""
+    try:
+        E = make_instance(spec)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    rows = [r for r in CHECKS if r.applies(E) and (suite == "all" or (
+        r.suite == suite and not r.check_id.startswith("structure.")))]
+    each = [r for r in rows if "{i}" in r.check_id]
+    inputs = _load_sets(input_path, E.element_kind,
+                        nonempty=bool(each)) if rows else None
+    recs: List[ReportRecord] = []
+    for r in rows:
+        if "{i}" not in r.check_id:
+            recs += _timed(r.check_id, E.name, r.suite,
+                           lambda: r.driver(E, budget, seed, inputs))
+    for i, A in enumerate(inputs or ()):
+        for r in each:
+            recs += _timed(r.check_id.format(i=i), E.name, r.suite,
+                           lambda: r.driver(E, A, i, seed))
+    if not recs:
+        raise click.UsageError(
+            f"no {suite} check applies to instance {spec!r}")
+    return recs
+
+
+# thin calls by name, which perfbench/tracing.py wraps
+def run_all(spec: str, budget: int, seed: int) -> List[ReportRecord]:
+    return run_suite("all", spec, budget, seed)
+
+
+def run_sets(spec: str, budget: int, seed: int,
+             input_path: Optional[str]) -> List[ReportRecord]:
+    return run_suite("sets", spec, budget, seed, input_path)
+
+
+def run_bounded(spec: str, budget: int, seed: int,
+                input_path: Optional[str]) -> List[ReportRecord]:
+    return run_suite("bounded", spec, budget, seed, input_path)
+
+
 def run_audit(input_path: str) -> List[ReportRecord]:
-    gens = list(_load_sets(input_path, "halfline"))
+    gens = _load_sets(input_path, "halfline")
     if not gens:
         raise click.UsageError("audit needs at least one generator")
-    recs = [_timed(f"audit.gen{i}", "halfline", "audit",
-                   lambda G=G: topology.audit_generator(G))
-            for i, G in enumerate(gens)]
-    recs.append(_timed("audit.family", "halfline", "audit",
-                       lambda: topology.finest_topology_audit(
-                           gens, [r.outcome for r in recs])))
+    recs: List[ReportRecord] = []
+    for i, G in enumerate(gens):
+        recs += _timed(f"audit.gen{i}", "halfline", "audit",
+                       lambda: topology.audit_generator(G))
+    recs += _timed("audit.family", "halfline", "audit",
+                   lambda: topology.finest_topology_audit(
+                       gens, [r.outcome for r in recs]))
     return recs
 
 
@@ -195,38 +211,24 @@ def run_morphism(name: str, budget: int, seed: int) -> List[ReportRecord]:
             + ", ".join(sorted(MORPHISMS)))
     phi = MORPHISMS[name]()
     tag = f"{phi.domain.name}->{phi.codomain.name}"
-    recs = [_timed(
+    recs = _timed(
         f"morphism.{name}.laws", tag, "morphism",
         lambda: core.check_order_morphism(
-            phi.forward, phi.domain, phi.codomain, budget, seed))]
+            phi.forward, phi.domain, phi.codomain, budget, seed))
     if phi.inverse is not None:
-        recs.append(_timed(
+        recs += _timed(
             f"morphism.{name}.transport.absorbing", tag, "morphism",
-            lambda: setlaws.check_absorbing_transport(phi, budget, seed)))
-        recs.append(_timed(
+            lambda: setlaws.check_absorbing_transport(phi, budget, seed))
+        recs += _timed(
             f"morphism.{name}.transport.radial", tag, "morphism",
-            lambda: setlaws.check_radial_transport(phi, budget, seed)))
-    return recs
-
-
-def run_all(spec: str, budget: int, seed: int) -> List[ReportRecord]:
-    E = _instance(spec)
-    recs = run_axioms(spec, budget, seed)
-    recs.append(_timed(
-        "structure.primitive-scaling", E.name, "axioms",
-        lambda: core.check_primitive_scaling(E, budget, seed)))
-    if setlaws.has_interval_sets(E):
-        recs += run_sets(spec, budget, seed, None)
-        recs += run_bounded(spec, budget, seed, None)
-        recs += run_localbase(spec, budget, seed, None)
-    recs += run_radial(spec, budget, seed)
+            lambda: setlaws.check_radial_transport(phi, budget, seed))
     return recs
 
 
 def _load_sets(input_path: Optional[str], kind: str,
                nonempty: bool = False):
     if input_path is None:
-        return []
+        return None
     try:
         with open(input_path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -317,7 +319,7 @@ def _finish(records, fmt, findings_ok):
 @_common
 def axioms(instance, budget, seed, fmt, findings_ok):
     """Run the axiom suite on INSTANCE."""
-    _finish(run_axioms(instance, budget, _resolve_seed(seed)),
+    _finish(run_suite("axioms", instance, budget, _resolve_seed(seed)),
             fmt, findings_ok)
 
 
@@ -337,7 +339,7 @@ def sets(instance, input_path, budget, seed, fmt, findings_ok):
 @_common
 def radial(instance, budget, seed, fmt, findings_ok):
     """Per-pair separation check on INSTANCE."""
-    _finish(run_radial(instance, budget, _resolve_seed(seed)),
+    _finish(run_suite("radial", instance, budget, _resolve_seed(seed)),
             fmt, findings_ok)
 
 
@@ -359,8 +361,8 @@ def bounded(instance, input_path, budget, seed, fmt, findings_ok):
 @_common
 def localbase(instance, input_path, budget, seed, fmt, findings_ok):
     """Local-base conditions for a candidate family at theta."""
-    _finish(run_localbase(instance, budget, _resolve_seed(seed), input_path),
-            fmt, findings_ok)
+    _finish(run_suite("localbase", instance, budget, _resolve_seed(seed),
+                      input_path), fmt, findings_ok)
 
 
 @main.command()
@@ -369,6 +371,7 @@ def localbase(instance, input_path, budget, seed, fmt, findings_ok):
 @_common
 def audit(input_path, budget, seed, fmt, findings_ok):
     """Finest-topology audit of candidate open generators."""
+    _resolve_seed(seed)  # a bad EVS_LAB_SEED is a usage error here too
     _finish(run_audit(input_path), fmt, findings_ok)
 
 

@@ -36,7 +36,6 @@ class EvsDescriptor:
     scale: Callable  # (Scalar, Element) -> Element
     leq: Callable
     is_primitive: Callable
-    primitive_witness: Callable
     sample: Callable  # (seed, count) -> list of Element
     scalar_mode: str  # sc.ANY_SCALAR or sc.PYTHAGOREAN_ONLY
     render: Callable  # Element -> str
@@ -58,7 +57,7 @@ class EvsDescriptor:
         xs = self.sample(subseed(seed, "cmp"), count)
         pairs = []
         for x in xs:
-            pairs.append((self.primitive_witness(x), x))
+            pairs.append((self.primitive_set(x)[0], x))
             y = self.upward(x, rng)
             if self.leq(x, y):
                 pairs.append((x, y))
@@ -213,7 +212,7 @@ def _axiom_laws(E: EvsDescriptor) -> tuple:
         ("A5.bwd", 1, primitive(False),
          lambda x: not inverse_sum_is_theta(x),
          ("x",), "x not primitive but x+(-1).x = theta"),
-        ("A6", 1, lambda n, s: ((x, E.primitive_witness(x))
+        ("A6", 1, lambda n, s: ((x, E.primitive_set(x)[0])
                                 for x in sample(n, s, "x")),
          lambda x, p: E.is_primitive(p) and E.leq(p, x),
          ("x", "p"), "primitive witness invalid"),
@@ -356,8 +355,6 @@ def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:
         leq=leq,
         is_primitive=lambda x: all(
             p.is_primitive(a) for p, a in zip(parts, x)),
-        primitive_witness=lambda x: tuple(
-            [p.primitive_witness(a) for p, a in zip(parts, x)]),
         sample=sample,
         scalar_mode=mode,
         render=lambda x: "(" + ", ".join(

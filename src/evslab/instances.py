@@ -53,7 +53,6 @@ def half_line() -> EvsDescriptor:
         scale=lambda lam, r: sc.modulus(lam) * r,
         leq=lambda x, y: x <= y,
         is_primitive=lambda r: r == 0,
-        primitive_witness=lambda r: ZERO,
         sample=sample,
         scalar_mode=sc.PYTHAGOREAN_ONLY,
         render=rat_str,
@@ -89,7 +88,6 @@ def _vector_product(n: int, kind: str, scale: Callable,
         scale=scale,
         leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
         is_primitive=lambda x: x[0] == 0,
-        primitive_witness=lambda x: (ZERO, x[1]),
         sample=sample,
         scalar_mode=scalar_mode,
         render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
@@ -155,7 +153,6 @@ def dict_plane() -> EvsDescriptor:
         scale=scale,
         leq=leq,
         is_primitive=lambda p: p == (ZERO, ZERO),
-        primitive_witness=lambda p: (ZERO, ZERO),
         sample=sample,
         scalar_mode=sc.PYTHAGOREAN_ONLY,
         render=lambda p: f"({rat_str(p[0])}, {rat_str(p[1])})",
@@ -231,7 +228,6 @@ def subspace_lattice() -> EvsDescriptor:
         scale=scale,
         leq=subspace_leq,
         is_primitive=lambda y: y == ZERO_SUBSPACE,
-        primitive_witness=lambda y: ZERO_SUBSPACE,
         sample=sample,
         scalar_mode=sc.ANY_SCALAR,
         render=render_subspace,

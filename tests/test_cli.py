@@ -111,8 +111,15 @@ def test_seed_env_variable(runner):
                for r in _strip_elapsed(a.output)[:1])
 
 
-def test_bad_seed_env_variable_is_a_usage_error(runner):
-    res = runner.invoke(main, ["all", "halfline"], env={"EVS_LAB_SEED": "abc"})
+@pytest.mark.parametrize("command", [
+    "all", "axioms", "sets", "radial", "bounded", "localbase", "audit",
+    "morphism"])
+def test_bad_seed_env_variable_is_a_usage_error(runner, tmp_path, command):
+    f = tmp_path / "sets.txt"
+    f.write_text("[0,1)\n")
+    args = {"audit": ["--input", str(f)],
+            "morphism": ["doubling"]}.get(command, ["halfline"])
+    res = runner.invoke(main, [command] + args, env={"EVS_LAB_SEED": "abc"})
     assert res.exit_code == 2
     assert "EVS_LAB_SEED" in res.output
     assert not isinstance(res.exception, ValueError)
@@ -368,7 +375,8 @@ NON_INTERVAL_SPECS = ("cone:1", "cone:2", "twisted:2", "dict2", "lattice2",
                       "lattice2#no-canonicalization")
 
 
-@pytest.mark.parametrize("command,message", [
+# one message replaced each suite's own, which must not come back
+@pytest.mark.parametrize("command,old_message", [
     ("sets", "instance {!r} has no exact interval support and no --input "
              "sets were given"),
     ("bounded", "instance {!r} needs interval support or --input sets"),
@@ -376,7 +384,26 @@ NON_INTERVAL_SPECS = ("cone:1", "cone:2", "twisted:2", "dict2", "lattice2",
 ])
 @pytest.mark.parametrize("spec", NON_INTERVAL_SPECS)
 def test_interval_suites_without_input_are_usage_errors_off_the_half_line(
-        runner, spec, command, message):
-    res = runner.invoke(main, [command, spec])
-    assert res.exit_code == 2, res.output
-    assert message.format(spec) in res.output
+        runner, tmp_path, spec, command, old_message):
+    runs = [[command, spec]]
+    if command == "localbase":  # the message holds with a family file too
+        f = tmp_path / "family.txt"
+        f.write_text("[0,1)x[0,2]\n")
+        runs.append([command, spec, "--input", str(f)])
+    for args in runs:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"no {command} check applies to instance {spec!r}" \
+            in res.output
+        assert old_message.format(spec) not in res.output
+
+
+def test_a_driver_error_is_not_a_usage_error(runner, monkeypatch):
+    # only the local-base family's ValueError is the user's to fix
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(topology, "check_bounded_laws", boom)
+    res = runner.invoke(main, ["bounded", "halfline"])
+    assert res.exit_code != 2
+    assert isinstance(res.exception, ValueError)

@@ -20,7 +20,7 @@ KERNEL = ("interval_union", "iu_intersect", "iu_union", "iu_subset",
           "scale_set", "random_interval_union", "set_member",
           "is_balanced", "is_absorbing")
 DESCRIPTOR = ("add", "scale", "leq", "eq", "sample", "is_primitive",
-              "primitive_witness", "primitive_set", "upward")
+              "primitive_set", "upward")
 SPECS = ("halfline", "cone:2", "twisted:2", "dict2", "lattice2",
          "product:(halfline,dict2)")
 

@@ -5,18 +5,24 @@ another module or named in the README's public API, which is exactly
 ``evslab.__all__``, no verdict rests on an ``assert``, no decider
 samples, every seeded draw goes through the ``_backend`` draw helpers
 and ``core`` and ``setlaws`` build a Proven only through
-``outcome.check_law``.
+``outcome.check_law``.  Every check id an instance command emits belongs
+to exactly one ``cli.CHECKS`` row, and every id of the README's "Paper
+results" table is emitted by some command.
 """
 
 import ast
 import importlib
+import json
 import pathlib
 import re
 import types
 
 import pytest
+from click.testing import CliRunner
 
 import evslab
+from evslab import cli
+from evslab.instances import MORPHISMS, PLANTED_FAULTS, half_line
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "evslab"
 README = SRC.parent.parent / "README.md"
@@ -342,3 +348,93 @@ def test_law_drivers_prove_only_through_check_law(name):
     # every Proven of the axiom, law, radial and transport checkers is
     # check_law's proven_detail, the one place a Proven is built for them
     assert _proven_calls((SRC / name).read_text(encoding="utf-8")) == []
+
+
+# ------------------------------------------------------ the check registry
+
+def _claims(row) -> str:
+    """A regex for the check ids the ``cli.CHECKS`` row ``row`` emits:
+    ``{i}`` stands for any index, and a driver's ids are read from one
+    small run on the half line, where every row applies."""
+    if "{i}" in row.check_id:
+        return r"\d+".join(map(re.escape, row.check_id.split("{i}")))
+    out = row.driver(half_line(), 8, 0, None)
+    keys = out if isinstance(out, dict) else [""]
+    return "|".join(re.escape(row.check_id + key) for key in keys)
+
+
+@pytest.fixture(scope="module")
+def claims():
+    return [(row, _claims(row)) for row in cli.CHECKS]
+
+
+def _records(*args) -> list:
+    res = CliRunner().invoke(cli.main, [*args, "--budget", "20", "--seed",
+                                        "7", "--format", "jsonlines",
+                                        "--findings-ok"])
+    assert res.exit_code in (0, 1), res.output
+    return [json.loads(ln) for ln in res.output.splitlines()]
+
+
+def _rows_of(check_id, claims) -> list:
+    return [row for row, regex in claims if re.fullmatch(regex, check_id)]
+
+
+def test_every_instance_check_id_has_exactly_one_row(tmp_path, claims):
+    sets_file = tmp_path / "sets.txt"
+    sets_file.write_text("[0,1)\n[1,2)\n")
+    family = tmp_path / "family.txt"
+    family.write_text("[0,1)\n[0,1/2)\n")
+    specs = ("halfline", "cone:2", "twisted:2", "dict2", "lattice2",
+             "product:(halfline,dict2)", *PLANTED_FAULTS)
+    records = [r for spec in specs for r in _records("all", spec)]
+    records += _records("sets", "halfline", "--input", str(sets_file))
+    records += _records("bounded", "halfline", "--input", str(sets_file))
+    records += _records("localbase", "halfline", "--input", str(family))
+    ids = {r["checkId"] for r in records}
+    assert {c: len(_rows_of(c, claims)) for c in ids} == dict.fromkeys(
+        ids, 1)
+    # and no row is dead
+    assert [row for row, regex in claims
+            if not any(re.fullmatch(regex, c) for c in ids)] == []
+
+
+_ROMAN = ("i", "ii", "iii", "iv", "v")
+
+
+def _paper_ids(readme: str) -> set:
+    """The check ids of the README's "Paper results" table: its check-id
+    column, with ``<name>`` read as each shipped morphism its row names,
+    and each ``a.ii``–``a.v`` range of local-base conditions."""
+    section = readme.partition("\n## Paper results\n")[2].partition(
+        "\n## ")[0]
+    ids = set()
+    for row in section.splitlines():
+        if not row.startswith("| ("):
+            continue
+        _, check, decides = (c.strip() for c in row.strip("|").split("|"))
+        names = [n for n in re.findall(r"`([\w.<>-]+)`", decides)
+                 if n in MORPHISMS]
+        for c in re.findall(r"`([\w.<>-]+)`", check):
+            ids |= {c.replace("<name>", n) for n in names} if "<name>" in c \
+                else {c}
+        for prefix, lo, hi in re.findall(
+                r"`([\w.]+)\.(\w+)`–`\1\.(\w+)`", decides):
+            ids |= {f"{prefix}.{n}" for n in
+                    _ROMAN[_ROMAN.index(lo):_ROMAN.index(hi) + 1]}
+    return ids
+
+
+def test_paper_result_ids_are_emitted_and_registered(tmp_path, claims):
+    ids = _paper_ids(README.read_text(encoding="utf-8"))
+    assert {"localbase.i", "localbase.v", "radial", "audit.family",
+            "morphism.doubling.transport.radial"} <= ids
+    gens = tmp_path / "gens.txt"
+    gens.write_text("[0,1)\n")
+    records = _records("all", "halfline") + _records("audit", "--input",
+                                                     str(gens))
+    records += [r for name in MORPHISMS for r in _records("morphism", name)]
+    suites = {r["checkId"]: r["suite"] for r in records}
+    assert sorted(ids - suites.keys()) == []
+    assert [c for c in ids if suites[c] not in ("morphism", "audit")
+            and len(_rows_of(c, claims)) != 1] == []
