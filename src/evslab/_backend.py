@@ -11,7 +11,7 @@ backends provide it:
 ``numbers.Rational``, ``hash``, ``str``, ``repr``, pickling and every
 operator it does not override).  It adds monomorphic fast paths for the
 operations the library runs in its loops: ``+ - * /`` (both ways), unary
-``-``, ``abs``, ``bool`` and ``== < <= > >=`` when the other operand is a
+``-``, ``abs`` and ``== < <= > >=`` when the other operand is a
 ``_PureRat`` or an ``int``, the two-``int`` constructor, and ``Rat(q)``
 returning a ``_PureRat`` ``q`` itself.  They read the
 ``_numerator``/``_denominator`` slots directly and keep every result in
@@ -133,9 +133,6 @@ class _PureRat(Fraction):
 
     def __abs__(a):
         return _new(abs(a._numerator), a._denominator)
-
-    def __bool__(a):
-        return a._numerator != 0
 
     def __eq__(a, b):
         if type(b) is _PureRat:

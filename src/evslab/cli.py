@@ -215,7 +215,7 @@ def run_morphism(name: str, budget: int, seed: int) -> List[ReportRecord]:
         f"morphism.{name}.laws", tag, "morphism",
         lambda: core.check_order_morphism(
             phi.forward, phi.domain, phi.codomain, budget, seed))
-    if phi.inverse is not None:
+    if phi.transport is not None:
         recs += _timed(
             f"morphism.{name}.transport.absorbing", tag, "morphism",
             lambda: setlaws.check_absorbing_transport(phi, budget, seed))
@@ -370,7 +370,11 @@ def localbase(instance, input_path, budget, seed, fmt, findings_ok):
               help="Generator file, one set expression per line.")
 @_common
 def audit(input_path, budget, seed, fmt, findings_ok):
-    """Finest-topology audit of candidate open generators."""
+    """Finest-topology audit of candidate open generators.
+
+    The audit is exact and draws nothing: --seed and --budget are accepted
+    for a uniform command line and change nothing; records carry seed 0.
+    """
     _resolve_seed(seed)  # a bad EVS_LAB_SEED is a usage error here too
     _finish(run_audit(input_path), fmt, findings_ok)
 

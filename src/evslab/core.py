@@ -83,8 +83,6 @@ def check_axioms(E: EvsDescriptor, budget: int, seed: int) -> dict:
     """Per-axiom verdicts for A1-A6 on sampled elements and scalars: each
     row of ``_axiom_laws`` is one ``check_law`` run under its own subseed,
     Proven where the instance flags the axiom as exactly verified."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     out = {}
     for axiom_id, arity, cases, holds, keys, detail in _axiom_laws(E):
         s = subseed(seed, f"axioms:{axiom_id}:{E.name}")

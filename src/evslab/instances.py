@@ -16,14 +16,28 @@ from ._backend import ONE, ZERO, draw_int, draw_rat, rat, rat_str
 from .core import AXIOM_IDS, EvsDescriptor, product_evs
 
 
-def _rand_nonneg_rat(rng: random.Random, height: int = 6):
-    return draw_rat(rng, 0, height, height)
+def _sampler(specials: list, draw: Callable) -> Callable:
+    """``sample(seed, count)``: the first ``count`` of ``specials``, then
+    ``draw(rng)`` on one ``random.Random(seed)`` until ``count``."""
+
+    def sample(seed, count):
+        rng = random.Random(seed)
+        out = specials[: max(0, count)]
+        while len(out) < count:
+            out.append(draw(rng))
+        return out
+
+    return sample
 
 
-def _rand_scalar(rng: random.Random, height: int = 5) -> sc.Scalar:
-    a, p = draw_int(rng, -height, height), draw_int(rng, 1, height)
+def _rand_nonneg_rat(rng: random.Random):
+    return draw_rat(rng, 0, 6, 6)
+
+
+def _rand_scalar(rng: random.Random) -> sc.Scalar:
+    a, p = draw_int(rng, -3, 3), draw_int(rng, 1, 3)
     if rng.random() < 0.4:
-        b, q = draw_int(rng, -height, height), draw_int(rng, 1, height)
+        b, q = draw_int(rng, -3, 3), draw_int(rng, 1, 3)
     else:
         b, q = 0, 1
     return sc.from_ints(a, p, b, q)
@@ -37,14 +51,6 @@ def _render_vec(a) -> str:
 
 def half_line() -> EvsDescriptor:
     """[0,oo) with addition, action |lam|.r and the numeric order."""
-
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [ZERO, ONE, rat(1, 2)][: max(0, min(3, count))]
-        while len(out) < count:
-            out.append(_rand_nonneg_rat(rng))
-        return out[:count]
-
     return EvsDescriptor(
         name="halfline",
         element_kind="halfline",
@@ -53,7 +59,7 @@ def half_line() -> EvsDescriptor:
         scale=lambda lam, r: sc.modulus(lam) * r,
         leq=lambda x, y: x <= y,
         is_primitive=lambda r: r == 0,
-        sample=sample,
+        sample=_sampler([ZERO, ONE, rat(1, 2)], _rand_nonneg_rat),
         scalar_mode=sc.PYTHAGOREAN_ONLY,
         render=rat_str,
         primitive_set=lambda r: [ZERO],
@@ -71,13 +77,9 @@ def _vector_product(n: int, kind: str, scale: Callable,
         raise ValueError("dimension must be >= 1")
     zero_vec = tuple(sc.S_ZERO for _ in range(n))
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [(ZERO, zero_vec)]
-        while len(out) < count:
-            vec = tuple([_rand_scalar(rng, 3) for _ in range(n)])
-            out.append((_rand_nonneg_rat(rng), vec))
-        return out[:count]
+    def draw(rng):
+        vec = tuple([_rand_scalar(rng) for _ in range(n)])  # drawn before r
+        return (_rand_nonneg_rat(rng), vec)
 
     return EvsDescriptor(
         name=f"{kind}:{n}",
@@ -88,7 +90,7 @@ def _vector_product(n: int, kind: str, scale: Callable,
         scale=scale,
         leq=lambda x, y: x[0] <= y[0] and x[1] == y[1],
         is_primitive=lambda x: x[0] == 0,
-        sample=sample,
+        sample=_sampler([(ZERO, zero_vec)], draw),
         scalar_mode=scalar_mode,
         render=lambda x: f"({rat_str(x[0])}, {_render_vec(x[1])})",
         primitive_set=lambda x: [(ZERO, x[1])],
@@ -130,13 +132,6 @@ def dict_plane() -> EvsDescriptor:
         m = sc.modulus(lam)
         return (m * p[0], m * p[1])
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)][: max(0, min(3, count))]
-        while len(out) < count:
-            out.append((_rand_nonneg_rat(rng), _rand_nonneg_rat(rng)))
-        return out[:count]
-
     def upward(p, rng):
         if rng.random() < 0.5:
             d = _rand_nonneg_rat(rng)
@@ -153,7 +148,9 @@ def dict_plane() -> EvsDescriptor:
         scale=scale,
         leq=leq,
         is_primitive=lambda p: p == (ZERO, ZERO),
-        sample=sample,
+        sample=_sampler([(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)],
+                        lambda rng: (_rand_nonneg_rat(rng),
+                                     _rand_nonneg_rat(rng))),
         scalar_mode=sc.PYTHAGOREAN_ONLY,
         render=lambda p: f"({rat_str(p[0])}, {rat_str(p[1])})",
         primitive_set=lambda p: [(ZERO, ZERO)],
@@ -212,14 +209,6 @@ def subspace_lattice() -> EvsDescriptor:
             return ZERO_SUBSPACE
         return y
 
-    def sample(seed, count):
-        rng = random.Random(seed)
-        out = [ZERO_SUBSPACE, FULL_SUBSPACE, line(1, 0), line(0, 1)]
-        out = out[: max(0, min(4, count))]
-        while len(out) < count:
-            out.append(line(draw_int(rng, 1, 6), draw_rat(rng, -6, 6, 6)))
-        return out[:count]
-
     return EvsDescriptor(
         name="lattice2",
         element_kind="lattice2",
@@ -228,7 +217,9 @@ def subspace_lattice() -> EvsDescriptor:
         scale=scale,
         leq=subspace_leq,
         is_primitive=lambda y: y == ZERO_SUBSPACE,
-        sample=sample,
+        sample=_sampler([ZERO_SUBSPACE, FULL_SUBSPACE, line(1, 0), line(0, 1)],
+                        lambda rng: line(draw_int(rng, 1, 6),
+                                         draw_rat(rng, -6, 6, 6))),
         scalar_mode=sc.ANY_SCALAR,
         render=render_subspace,
         primitive_set=lambda y: [ZERO_SUBSPACE],
@@ -293,13 +284,13 @@ PLANTED_FAULTS: dict = {
 
 @dataclass
 class OrderIso:
-    """A shipped order-isomorphism with exact inverse and set transport."""
+    """A shipped order-isomorphism or planted fault, with its exact set
+    transport where it has one."""
 
     name: str
     domain: EvsDescriptor
     codomain: EvsDescriptor
     forward: Callable
-    inverse: Optional[Callable] = None
     # exact image of a set of the domain's carrier, or None
     transport: Optional[Callable] = None
     # a transported set as a set of the domain's carrier, for a map onto
@@ -312,7 +303,7 @@ def doubling_map() -> OrderIso:
 
     H = half_line()
     return OrderIso("doubling", H, half_line(),
-                    forward=lambda r: 2 * r, inverse=lambda r: r / 2,
+                    forward=lambda r: 2 * r,
                     transport=lambda A: st.iu_scale(rat(2), A))
 
 
@@ -326,7 +317,6 @@ def halfline_to_cone() -> OrderIso:
     return OrderIso(
         "embed", H, C,
         forward=lambda r: (r, (sc.S_ZERO,)),
-        inverse=lambda x: x[0],
         transport=lambda A: st.product_slice(
             *[(st.IntervalUnion((c,)), st.finite_vectors((sc.S_ZERO,)))
               for c in A.components]),

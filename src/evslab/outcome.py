@@ -84,7 +84,7 @@ class CheckOutcome:
                 f"seed={self.seed!r}, detail={self.detail!r})")
 
 
-def proven(detail: Union[str, Callable[[], str]] = "", samples: int = 0,
+def proven(detail: Union[str, Callable[[], str]], samples: int = 0,
            seed: int = 0) -> CheckOutcome:
     return CheckOutcome(PROVEN, None, samples, seed, detail)
 

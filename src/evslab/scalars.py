@@ -233,8 +233,7 @@ def scale_unit(u: Scalar, q) -> Scalar:
     return _reduced(u._a * n, u._b * n, u._d * m)
 
 
-def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,
-                         height: int = 5):
+def sample_scalar_tuples(k: int, count: int, seed: int, mode: str):
     """Tuples of k scalars for law checking.
 
     In PythagoreanOnly mode every tuple lies on a single Pythagorean ray
@@ -253,12 +252,12 @@ def sample_scalar_tuples(k: int, count: int, seed: int, mode: str = ANY_SCALAR,
     while len(out) < count:
         if mode == PYTHAGOREAN_ONLY:
             u = _random_unit(rng)
-            tup = tuple(scale_unit(u, _random_rat(rng, height)) for _ in range(k))
+            tup = tuple(scale_unit(u, _random_rat(rng, 5)) for _ in range(k))
         else:
             tup = tuple(
-                Scalar(_random_rat(rng, height), _random_rat(rng, height))
+                Scalar(_random_rat(rng, 5), _random_rat(rng, 5))
                 if rng.random() < 0.4
-                else Scalar(_random_rat(rng, height), ZERO)
+                else Scalar(_random_rat(rng, 5), ZERO)
                 for _ in range(k)
             )
         out.append(tup)

@@ -318,8 +318,6 @@ def check_radial_product_and_hereditary(
 def transport_set(phi: OrderIso, A):
     """Exact image of an endpoint-defined set under a shipped
     order-isomorphism."""
-    if phi.inverse is None:
-        raise ValueError(f"morphism {phi.name} lacks an inverse")
     if phi.transport is None or not (has_interval_sets(phi.domain)
                                      and isinstance(A, st.IntervalUnion)):
         raise ValueError(

@@ -471,10 +471,10 @@ def _edge_leq(e1, c1, e2, c2) -> bool:
     return e1 < e2 or (e1 == e2 and (not c1 or c2))
 
 
-def box(a, b, a_closed=False, b_closed=False) -> Box:
+def box(a, b, b_closed=False) -> Box:
     a = INF if a is INF else rat(a)
     b = INF if b is INF else rat(b)
-    return Box(a, a_closed, b, b_closed)
+    return Box(a, False, b, b_closed)
 
 
 @dataclass(frozen=True)
@@ -882,22 +882,21 @@ def is_absorbing(A) -> CheckOutcome:
 
 # ------------------------------------------------------- random generators
 
-def random_interval_union(rng: random.Random, max_components: int = 3,
-                          height: int = 8) -> IntervalUnion:
+def random_interval_union(rng: random.Random) -> IntervalUnion:
     """Small random interval unions with frequent boundary cases."""
-    n = draw_int(rng, 1, max_components)
+    n = draw_int(rng, 1, 3)
     pieces = []
     for i in range(n):
         if i == 0 and rng.random() < 0.55:
             lo = ZERO
             lo_closed = rng.random() < 0.8
         else:
-            lo = draw_rat(rng, 0, height, height)
+            lo = draw_rat(rng, 0, 8, 8)
             lo_closed = rng.random() < 0.5
         if rng.random() < 0.1:
             hi, hi_closed = INF, False
         else:
-            width = draw_rat(rng, 0, height, height)
+            width = draw_rat(rng, 0, 8, 8)
             hi = lo + width
             hi_closed = rng.random() < 0.5
         pieces.append(_iv(lo, lo_closed, hi, hi_closed))
@@ -907,12 +906,11 @@ def random_interval_union(rng: random.Random, max_components: int = 3,
     return u
 
 
-def random_box_union(rng: random.Random, max_boxes: int = 3,
-                     height: int = 6) -> AnchoredBoxUnion:
+def random_box_union(rng: random.Random) -> AnchoredBoxUnion:
     boxes = []
-    for _ in range(draw_int(rng, 1, max_boxes)):
-        a = draw_rat(rng, 0, height, height)
-        b = draw_rat(rng, 0, height, height)
+    for _ in range(draw_int(rng, 1, 3)):
+        a = draw_rat(rng, 0, 6, 6)
+        b = draw_rat(rng, 0, 6, 6)
         boxes.append(Box(INF if rng.random() < 0.05 else a,
                          rng.random() < 0.4,
                          INF if rng.random() < 0.05 else b,

@@ -63,13 +63,14 @@ def is_bounded_set(A, seed: int = 0) -> CheckOutcome:
     return st.carrier_operation(A, "bounded")(seed)
 
 
-def definition_bounded_grid(A: IntervalUnion, depth: int = 6) -> bool:
+def definition_bounded_grid(A: IntervalUnion) -> bool:
     """Evaluate the definition directly: for each basic neighborhood
-    [0,1/k), construct alpha and verify a mu-grid keeps mu.A inside.
-    A sup of 0 or oo gets alpha = 1/(2k), so {0} passes and an unbounded
-    set fails by the same inclusion test, not by reading its sup."""
+    [0,1/k) with k <= 6, construct alpha and verify a mu-grid keeps
+    mu.A inside.  A sup of 0 or oo gets alpha = 1/(2k), so {0} passes and
+    an unbounded set fails by the same inclusion test, not by reading its
+    sup."""
     s, _ = A.sup()
-    for k in range(1, depth + 1):
+    for k in range(1, 7):
         V = iu((0, Rat(1, k)))
         alpha = Rat(1, 2 * k) if s is INF or s == 0 else Rat(1, 2 * k) / s
         for mu in (alpha, alpha / 2, alpha / 3):

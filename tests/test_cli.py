@@ -187,6 +187,19 @@ def test_audit_requires_input_and_reports(runner, tmp_path):
     assert res2.exit_code == 2
 
 
+def test_audit_seed_and_budget_change_nothing(runner, tmp_path):
+    # the audit is exact; both options exist for a uniform command line
+    f = tmp_path / "gens.txt"
+    f.write_text("[1,2)\n[0,1]\n")
+    out = [runner.invoke(main, ["audit", "--input", str(f), "--seed", seed,
+                                "--budget", budget, "--findings-ok",
+                                "--format", "jsonlines"])
+           for seed, budget in (("5", "1"), ("9", "999"))]
+    assert [res.exit_code for res in out] == [0, 0]
+    assert _strip_elapsed(out[0].output) == _strip_elapsed(out[1].output)
+    assert {r["seed"] for r in _strip_elapsed(out[0].output)} == {0}
+
+
 AUDIT_TEXT = """\
 audit.gen0                   halfline                 Refuted
   - left-closed component away from theta: scaling x by t < 1 lands in the gap below

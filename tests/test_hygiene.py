@@ -2,12 +2,13 @@
 (``__init__.py`` is exempt because its imports are the package's public
 re-exports), every function and upper-case constant is reached by
 another module or named in the README's public API, which is exactly
-``evslab.__all__``, no verdict rests on an ``assert``, no decider
-samples, every seeded draw goes through the ``_backend`` draw helpers
-and ``core`` and ``setlaws`` build a Proven only through
-``outcome.check_law``.  Every check id an instance command emits belongs
-to exactly one ``cli.CHECKS`` row, and every id of the README's "Paper
-results" table is emitted by some command.
+``evslab.__all__``, every default of a function outside that API is
+both overridden and used by some call, no verdict rests on an
+``assert``, no decider samples, every seeded draw goes through the
+``_backend`` draw helpers and ``core`` and ``setlaws`` build a Proven
+only through ``outcome.check_law``.  Every check id an instance command
+emits belongs to exactly one ``cli.CHECKS`` row, and every id of the
+README's "Paper results" table is emitted by some command.
 """
 
 import ast
@@ -228,6 +229,116 @@ def test_readme_public_api_is_the_package_exports():
         mod = importlib.import_module(f"evslab.{module}")
         assert [n for n in names
                 if getattr(evslab, n) is not getattr(mod, n, None)] == []
+
+
+def _call_table(sources) -> dict:
+    """``{name: [(args, keywords), ...]}`` for every call in ``sources``
+    by a name or attribute; ``partial(f, ...)`` is a call of ``f``."""
+    def name(func):
+        return getattr(func, "id", getattr(func, "attr", None))
+
+    table = {}
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call):
+                func, args = n.func, n.args
+                if name(func) == "partial" and args:
+                    func, args = args[0], args[1:]
+                table.setdefault(name(func), []).append((args, n.keywords))
+    return table
+
+
+def _defaulted_parameters(source: str, public=()) -> list:
+    """``(label, function, position, parameter)`` for each defaulted
+    parameter of a non-dunder function or method of ``source`` whose
+    name ``public`` does not list.  ``position`` indexes a call's
+    positional arguments, a method's ``self`` already bound, and is None
+    for a keyword-only parameter."""
+    out = []
+
+    def visit(node):
+        for fn in ast.iter_child_nodes(node):
+            if isinstance(fn, ast.FunctionDef) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                    or fn.name in public):
+                in_class = isinstance(node, ast.ClassDef)
+                label = f"{node.name}.{fn.name}" if in_class else fn.name
+                bound = in_class and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in fn.decorator_list)
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                out.extend((f"{label}.{p.arg}", fn.name, i - bound, p.arg)
+                           for i, p in enumerate(positional) if i >= first)
+                out.extend((f"{label}.{p.arg}", fn.name, None, p.arg)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+            visit(fn)
+
+    visit(ast.parse(source))
+    return out
+
+
+def _single_valued_defaults(source: str, calls: dict, public=()) -> list:
+    """Labels of the defaulted parameters of ``source`` (see
+    ``_defaulted_parameters``) that the calls of ``_call_table`` never
+    override or never leave at their default: a setting with one value
+    in use is a constant.  A call with ``*args`` or ``**kwargs`` that
+    does not name the parameter does both."""
+    out = []
+    for label, fn, position, param in _defaulted_parameters(source, public):
+        used = overridden = False
+        for args, keywords in calls.get(fn, ()):
+            plain = next((i for i, a in enumerate(args)
+                          if isinstance(a, ast.Starred)), len(args))
+            named = {k.arg for k in keywords}
+            if position is not None and position < plain or param in named:
+                overridden = True
+            elif plain < len(args) or None in named:
+                used = overridden = True
+            else:
+                used = True
+        if not (used and overridden):
+            out.append(label)
+    return out
+
+
+def test_default_checker_resolves_positions_keywords_and_stars():
+    src = ("def f(a, b=1, *, c=2): pass\n"
+           "class C:\n"
+           "    def m(self, x=0): pass\n"
+           "    @staticmethod\n"
+           "    def s(x=0): pass\n"
+           "    def __init__(self, y=0): pass\n"
+           "def g(p=0):\n"
+           "    def inner(q=0): pass\n"
+           "def h(r=0): pass\n"
+           "def listed(t=0): pass\n")
+    calls = _call_table(["f(1)\nf(1, 2, c=3)\n", "obj.m()\nC.s(5)\n",
+                         "g(*args)\n", "partial(h, 1)\n"])
+    assert _single_valued_defaults(src, calls, ("listed",)) == \
+        ["C.m.x", "C.s.x", "inner.q", "h.r"]
+    calls = _call_table(["f(1)\nf(1, 2, c=3)\n", "obj.m()\nobj.m(1)\n",
+                         "C.s(**kw)\n", "inner()\ninner(q=1)\n",
+                         "g(*args)\n", "partial(h, 1)\nh()\n"])
+    assert _single_valued_defaults(src, calls, ("listed",)) == []
+
+
+def test_every_default_has_two_values_in_use():
+    # callers include the benchmark, the tools and the tests, so that
+    # the rule never forces a change to any of them
+    root = SRC.parent.parent
+    calls = _call_table(
+        p.read_text(encoding="utf-8")
+        for p in [*SRC.glob("*.py"), *(root / "perfbench").rglob("*.py"),
+                  *(root / "tools").rglob("*.py"),
+                  *(root / "tests").rglob("*.py")])
+    api = _public_api(README.read_text(encoding="utf-8"))
+    assert [f"{p.stem}.{label}" for p in sorted(SRC.glob("*.py"))
+            for label in _single_valued_defaults(
+                p.read_text(encoding="utf-8"), calls, api.get(p.stem, ()))
+            ] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -178,7 +178,7 @@ def test_radial_transport_into_a_product_has_no_separator():
     # a one-factor product of the half line is radial; the check has no
     # separator for a product codomain, so it says so instead of Refuted
     phi = OrderIso("into-product", half_line(), product_evs([half_line()]),
-                   forward=lambda r: (r,), inverse=lambda x: x[0])
+                   forward=lambda r: (r,))
     with pytest.raises(ValueError, match="use product_cylinder_separator"):
         check_radial_transport(phi, 40, 7)
 
