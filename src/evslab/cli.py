@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
 import click
@@ -27,13 +26,17 @@ DEFAULT_SEED = 42
 FINDING_SUITES = frozenset({"radial", "localbase", "audit"})
 
 
-@dataclass
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
+
 class ReportRecord:
-    check_id: str
-    instance: str
-    suite: str
-    outcome: CheckOutcome
-    elapsed: float
+    def __init__(self, check_id: str, instance: str, suite: str,
+                 outcome: CheckOutcome, elapsed: float):
+        self.check_id = check_id
+        self.instance = instance
+        self.suite = suite
+        self.outcome = outcome
+        self.elapsed = elapsed
 
     def public_witness(self) -> Optional[dict]:
         if self.outcome.witness is None:
@@ -57,7 +60,7 @@ class ReportRecord:
             d["witness"] = w
         if self.outcome.detail:
             d["detail"] = self.outcome.detail
-        return json.dumps(d, sort_keys=True)
+        return _to_json(d)
 
     def to_text(self) -> str:
         parts = [f"{self.check_id:<28} {self.instance:<24} "
@@ -232,7 +235,7 @@ def _load_sets(input_path: Optional[str], kind: str,
     try:
         with open(input_path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read {input_path}: {exc}")
     out = []
     for lineno, ln in enumerate(lines, start=1):

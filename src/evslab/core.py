@@ -10,7 +10,6 @@ reported for laws an instance has flagged as exactly verified.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add, mul
 from typing import Callable, Sequence
@@ -27,26 +26,40 @@ AXIOM_IDS = (
 )
 
 
-@dataclass
 class EvsDescriptor:
-    name: str
-    element_kind: str
-    zero: object
-    add: Callable
-    scale: Callable  # (Scalar, Element) -> Element
-    leq: Callable
-    is_primitive: Callable
-    sample: Callable  # (seed, count) -> list of Element
-    scalar_mode: str  # sc.ANY_SCALAR or sc.PYTHAGOREAN_ONLY
-    render: Callable  # Element -> str
-    # the exact P_x: the list of all primitives p <= x
-    primitive_set: Callable
-    # produce some y with x <= y, for comparable-pair sampling
-    upward: Callable  # (Element, random.Random) -> Element
-    # the one optional field: axiom ids whose laws reduce to exact
-    # arithmetic identities for this instance; checkAxioms reports
-    # Proven instead of Unfalsified there
-    exactly_verified: frozenset = frozenset()
+    def __init__(
+            self,
+            name: str,
+            element_kind: str,
+            zero: object,
+            add: Callable,
+            scale: Callable,  # (Scalar, Element) -> Element
+            leq: Callable,
+            is_primitive: Callable,
+            sample: Callable,  # (seed, count) -> list of Element
+            scalar_mode: str,  # sc.ANY_SCALAR or sc.PYTHAGOREAN_ONLY
+            render: Callable,  # Element -> str
+            # the exact P_x: the list of all primitives p <= x
+            primitive_set: Callable,
+            # produce some y with x <= y, for comparable-pair sampling
+            upward: Callable,  # (Element, random.Random) -> Element
+            # the one optional field: axiom ids whose laws reduce to
+            # exact arithmetic identities for this instance; checkAxioms
+            # reports Proven instead of Unfalsified there
+            exactly_verified: frozenset = frozenset()):
+        self.name = name
+        self.element_kind = element_kind
+        self.zero = zero
+        self.add = add
+        self.scale = scale
+        self.leq = leq
+        self.is_primitive = is_primitive
+        self.sample = sample
+        self.scalar_mode = scalar_mode
+        self.render = render
+        self.primitive_set = primitive_set
+        self.upward = upward
+        self.exactly_verified = exactly_verified
 
     def eq(self, a, b) -> bool:
         return a == b

@@ -8,7 +8,6 @@ lattice of linear subspaces of Q^2 in canonical echelon form.
 
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import scalars as sc
@@ -282,46 +281,64 @@ PLANTED_FAULTS: dict = {
 
 # ------------------------------------------------------------- morphisms
 
-@dataclass
 class OrderIso:
     """A shipped order-isomorphism or planted fault, with its exact set
     transport where it has one."""
 
-    name: str
-    domain: EvsDescriptor
-    codomain: EvsDescriptor
-    forward: Callable
-    # exact image of a set of the domain's carrier, or None
-    transport: Optional[Callable] = None
-    # a transported set as a set of the domain's carrier, for a map onto
-    # a proper subevs of the codomain, where verdicts are read in the image
-    image_view: Callable = lambda B: B
+    def __init__(self, name: str, domain: EvsDescriptor,
+                 codomain: EvsDescriptor, forward: Callable,
+                 # exact image of a set of the domain's carrier, or None
+                 transport: Optional[Callable] = None,
+                 # a transported set as a set of the domain's carrier,
+                 # for a map onto a proper subevs of the codomain, where
+                 # verdicts are read in the image
+                 image_view: Callable = lambda B: B):
+        self.name = name
+        self.domain = domain
+        self.codomain = codomain
+        self.forward = forward
+        self.transport = transport
+        self.image_view = image_view
+
+
+# The set transports import ``sets`` when called, so that building
+# ``MORPHISMS`` loads no set module.
+
+def _double_set(A):
+    from . import sets as st
+
+    return st.iu_scale(rat(2), A)
+
+
+def _embed_set(A):
+    from . import sets as st
+
+    return st.product_slice(
+        *[(st.IntervalUnion((c,)), st.finite_vectors((sc.S_ZERO,)))
+          for c in A.components])
+
+
+def _radial_parts(B):
+    from . import sets as st
+
+    return st.interval_union(
+        [c for iupart, _ in B.pieces for c in iupart.components])
 
 
 def doubling_map() -> OrderIso:
-    from . import sets as st
-
     H = half_line()
     return OrderIso("doubling", H, half_line(),
-                    forward=lambda r: 2 * r,
-                    transport=lambda A: st.iu_scale(rat(2), A))
+                    forward=lambda r: 2 * r, transport=_double_set)
 
 
 def halfline_to_cone() -> OrderIso:
     """Embedding r -> (r, 0) of the half line onto the cone's zero-vector
     subevs (an order-isomorphism onto its image)."""
-    from . import sets as st
-
     H = half_line()
     C = cone_product(1)
-    return OrderIso(
-        "embed", H, C,
-        forward=lambda r: (r, (sc.S_ZERO,)),
-        transport=lambda A: st.product_slice(
-            *[(st.IntervalUnion((c,)), st.finite_vectors((sc.S_ZERO,)))
-              for c in A.components]),
-        image_view=lambda B: st.interval_union(
-            [c for iupart, _ in B.pieces for c in iupart.components]))
+    return OrderIso("embed", H, C,
+                    forward=lambda r: (r, (sc.S_ZERO,)),
+                    transport=_embed_set, image_view=_radial_parts)
 
 
 def shift_map() -> OrderIso:

@@ -23,17 +23,18 @@ through an order isomorphism of the line, which keeps the form, and
 ``contains_zero`` and ``sup`` read only the first and the last
 component.
 
-The kernel builds its ``Interval`` and ``IntervalUnion`` objects with
-the module builders ``_iv`` and ``_iu``, not the public constructors.
-Both classes are frozen slotted dataclasses, whose generated
-``__init__`` stores each field through ``object.__setattr__`` to get
-past the frozen guard; that costs about 1 µs per object, and one round
-of the ``laws`` benchmark builds close to 300,000 of them.  The builders make the object with
-``object.__new__`` and write each slot through its descriptor, as
-``_backend._new`` and ``scalars._new`` do.  Only the kernel calls them,
-on values it has already checked.  Immutability is unchanged: assigning
-a field still raises ``FrozenInstanceError``, and ``==``, ``hash``,
-``repr``, ``copy`` and ``pickle`` are those of the dataclass.
+The carriers are frozen records on one slotted base, ``_Frozen``: a
+carrier's fields are its ``__slots__``, its ``__init__`` writes each
+once, and assigning or deleting any name raises AttributeError.  ``==``
+(NotImplemented against another class), ``hash``, ``repr``, ``copy``
+and ``pickle`` all read the tuple of fields, as a frozen dataclass's
+do; no code is generated when the module loads.  The kernel builds its
+``Interval`` and ``IntervalUnion`` objects with the module builders
+``_iv`` and ``_iu``, not the public constructors: one round of the
+``laws`` benchmark builds close to 300,000 of them.  The builders make
+the object with ``object.__new__`` and write each slot through its
+descriptor, as ``_backend._new`` and ``scalars._new`` do.  Only the
+kernel calls them, on values it has already checked.
 
 The exact deciders return their ``detail`` sentence and their witness
 as functions (see ``outcome.CheckOutcome``), so a caller that reads
@@ -46,7 +47,6 @@ none; the law drivers call these functions, never the methods.
 """
 
 import random
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence, Tuple
 
@@ -62,14 +62,51 @@ def _fmt_hi(hi) -> str:
     return "inf" if hi is INF else rat_str(hi)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+_setattr = object.__setattr__  # past _Frozen.__setattr__
+
+
+class _Frozen:
+    """Base of the frozen carriers: the fields are the ``__slots__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Interval(_Frozen):
     """One component [lo, hi] with open/closed flags; hi=None means +oo."""
 
-    lo: object
-    lo_closed: bool
-    hi: object
-    hi_closed: bool
+    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+
+    def __init__(self, lo: object, lo_closed: bool, hi: object,
+                 hi_closed: bool):
+        _setattr(self, "lo", lo)
+        _setattr(self, "lo_closed", lo_closed)
+        _setattr(self, "hi", hi)
+        _setattr(self, "hi_closed", hi_closed)
 
     def is_empty(self) -> bool:
         if self.hi is INF:
@@ -109,11 +146,13 @@ def ival(lo, hi, lo_closed=True, hi_closed=False) -> Interval:
     return _iv(lo, lo_closed, hi, hi_closed)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalUnion:
+class IntervalUnion(_Frozen):
     """Canonical finite union of disjoint non-mergeable intervals in [0,oo)."""
 
-    components: Tuple[Interval, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: Tuple[Interval, ...]):
+        _setattr(self, "components", components)
 
     def member(self, x) -> bool:
         return any(c.member(x) for c in self.components)
@@ -221,8 +260,7 @@ _set_components = IntervalUnion.components.__set__
 
 
 def _iv(lo, lo_closed, hi, hi_closed) -> Interval:
-    """``Interval(lo, lo_closed, hi, hi_closed)`` without the frozen
-    ``__init__``."""
+    """``Interval(lo, lo_closed, hi, hi_closed)`` without ``__init__``."""
     c = _object_new(Interval)
     _set_lo(c, lo)
     _set_lo_closed(c, lo_closed)
@@ -232,8 +270,8 @@ def _iv(lo, lo_closed, hi, hi_closed) -> Interval:
 
 
 def _iu(components: tuple) -> IntervalUnion:
-    """``IntervalUnion(components)`` without the frozen ``__init__``;
-    ``components`` must already be canonical."""
+    """``IntervalUnion(components)`` without ``__init__``; ``components``
+    must already be canonical."""
     u = _object_new(IntervalUnion)
     _set_components(u, components)
     return u
@@ -428,18 +466,20 @@ def iu_down(a: IntervalUnion) -> IntervalUnion:
 
 # ------------------------------------------------------------ dict2 boxes
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Frozen):
     """Anchored box [0, a) x [0, b) with optionally closed right edges.
 
     ``a``/``b`` may be INF.  A zero extent with a closed edge denotes the
     degenerate slice {0} in that coordinate.
     """
 
-    a: object
-    a_closed: bool
-    b: object
-    b_closed: bool
+    __slots__ = ("a", "a_closed", "b", "b_closed")
+
+    def __init__(self, a: object, a_closed: bool, b: object, b_closed: bool):
+        _setattr(self, "a", a)
+        _setattr(self, "a_closed", a_closed)
+        _setattr(self, "b", b)
+        _setattr(self, "b_closed", b_closed)
 
     def x_iv(self) -> Interval:
         return _iv(ZERO, True, self.a, self.a_closed)
@@ -477,11 +517,13 @@ def box(a, b, b_closed=False) -> Box:
     return Box(a, False, b, b_closed)
 
 
-@dataclass(frozen=True)
-class AnchoredBoxUnion:
+class AnchoredBoxUnion(_Frozen):
     """Antichain of maximal anchored boxes over the dictionary plane."""
 
-    boxes: Tuple[Box, ...]
+    __slots__ = ("boxes",)
+
+    def __init__(self, boxes: Tuple[Box, ...]):
+        _setattr(self, "boxes", boxes)
 
     def member(self, p) -> bool:
         return any(bx.member(p) for bx in self.boxes)
@@ -552,12 +594,15 @@ FINITE = "Finite"
 COFINITE = "Cofinite"
 
 
-@dataclass(frozen=True)
-class LatticeFamily:
+class LatticeFamily(_Frozen):
     """Finite or cofinite family of subspaces of Q^2."""
 
-    mode: str
-    members: frozenset  # the family (Finite) or its complement (Cofinite)
+    __slots__ = ("mode", "members")
+
+    # ``members`` is the family (Finite) or its complement (Cofinite)
+    def __init__(self, mode: str, members: frozenset):
+        _setattr(self, "mode", mode)
+        _setattr(self, "members", members)
 
     def member(self, y) -> bool:
         if self.mode == FINITE:
@@ -640,13 +685,15 @@ BALL = "ball"
 FINITE_VECTORS = "finite"
 
 
-@dataclass(frozen=True)
-class VectorRegion:
+class VectorRegion(_Frozen):
     """Finite vector set or a closed max-modulus ball of rational radius."""
 
-    kind: str
-    vectors: tuple = ()
-    radius: object = None
+    __slots__ = ("kind", "vectors", "radius")
+
+    def __init__(self, kind: str, vectors: tuple = (), radius: object = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "vectors", vectors)
+        _setattr(self, "radius", radius)
 
     def member(self, a) -> bool:
         if self.kind == FINITE_VECTORS:
@@ -676,11 +723,14 @@ def ball(radius) -> VectorRegion:
     return VectorRegion(BALL, radius=radius)
 
 
-@dataclass(frozen=True)
-class ProductSlice:
+class ProductSlice(_Frozen):
     """Finite union of (IntervalUnion x VectorRegion) pieces on the cone."""
 
-    pieces: Tuple[Tuple[IntervalUnion, VectorRegion], ...]
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Tuple[Tuple[IntervalUnion, VectorRegion],
+                                     ...]):
+        _setattr(self, "pieces", pieces)
 
     def member(self, x) -> bool:
         r, a = x
@@ -822,11 +872,13 @@ def product_slice(*pieces) -> ProductSlice:
 
 # ------------------------------------------------------------- cylinders
 
-@dataclass(frozen=True)
-class ProductCylinder:
+class ProductCylinder(_Frozen):
     """Per-factor sets over a product evs; None marks the whole factor."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _setattr(self, "factors", factors)
 
     def member(self, x) -> bool:
         return all(f is None or set_member(f, xi)

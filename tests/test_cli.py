@@ -173,6 +173,19 @@ def test_zero_denominator_in_input_is_a_usage_error(runner, tmp_path,
     assert not isinstance(res.exception, ZeroDivisionError)
 
 
+@pytest.mark.parametrize("command", [
+    ["sets", "halfline"], ["bounded", "halfline"], ["audit"],
+    ["localbase", "halfline"],
+])
+def test_non_utf8_input_is_a_usage_error(runner, tmp_path, command):
+    f = tmp_path / "sets.txt"
+    f.write_bytes(b"\xff\xfe")
+    res = runner.invoke(main, command + ["--input", str(f)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot read {f}" in res.output
+    assert not isinstance(res.exception, UnicodeDecodeError)
+
+
 def test_audit_requires_input_and_reports(runner, tmp_path):
     f = tmp_path / "gens.txt"
     f.write_text("[1,2)\n[0,1]\n")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import pickle
 import random
@@ -83,18 +82,41 @@ def test_builders_make_the_public_value():
             (public, hash(public), repr(public))
 
 
+def _carrier_values():
+    """One value of each of the eight frozen carriers, as (value, the
+    same value built by the public constructors)."""
+    iv = Interval(rat(0), True, rat(1), False)
+    comps = (iv,)
+    ball = S.VectorRegion(S.BALL, (), rat(2))
+    return [
+        *_built_and_public(),
+        (box(1, INF, True), Box(rat(1), False, INF, True)),
+        (box_union([box(1, 2), box(2, 1, True)]),
+         AnchoredBoxUnion((Box(rat(1), False, rat(2), False),
+                           Box(rat(2), False, rat(1), True)))),
+        (lattice_family(S.FINITE, [ZERO_SUBSPACE, line(1, 2)]),
+         S.LatticeFamily(S.FINITE, frozenset({ZERO_SUBSPACE, line(1, 2)}))),
+        (S.ball(2), ball),
+        (S.product_slice((S._iu(comps), S.ball(2))),
+         S.ProductSlice(((IntervalUnion(comps), ball),))),
+        (S.ProductCylinder((iu((0, 1)), None)),
+         S.ProductCylinder((IntervalUnion(comps), None))),
+    ]
+
+
 def test_intervals_and_unions_are_frozen_and_slotted():
-    for built, public in _built_and_public():
+    for built, public in _carrier_values():
         for x in (built, public):
             assert not hasattr(x, "__dict__")
-            for f in dataclasses.fields(x):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(x, f.name, rat(1))
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    delattr(x, f.name)
-            # a name that is not a field is refused too; Python 3.11's
-            # slotted frozen __setattr__ raises TypeError for it
-            with pytest.raises((TypeError, AttributeError)):
+            assert type(x).__slots__
+            for name in type(x).__slots__:
+                value = getattr(x, name)
+                with pytest.raises(AttributeError):
+                    setattr(x, name, rat(1))
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+                assert getattr(x, name) is value
+            with pytest.raises(AttributeError):  # not a field either
                 x.extra = rat(1)
 
 
@@ -104,10 +126,40 @@ def test_intervals_and_unions_are_frozen_and_slotted():
       for p in range(pickle.HIGHEST_PROTOCOL + 1)),
 ])
 def test_intervals_and_unions_copy_and_pickle(clone):
-    for built, public in _built_and_public():
+    for built, public in _carrier_values():
         y = clone(built)
         assert type(y) is type(public)
         assert (y, hash(y), repr(y)) == (public, hash(public), repr(public))
+
+
+def test_carriers_build_alike_by_keywords_and_by_position():
+    r0, r1, r2 = rat(0), rat(1), rat(2)
+    iv = Interval(r0, True, r1, False)
+    ball = S.VectorRegion(S.BALL, radius=r2)
+    cases = [
+        (Interval, dict(lo=r0, lo_closed=True, hi=r1, hi_closed=False)),
+        (IntervalUnion, dict(components=(iv,))),
+        (Box, dict(a=r1, a_closed=False, b=INF, b_closed=True)),
+        (AnchoredBoxUnion, dict(boxes=(box(1, 2),))),
+        (S.LatticeFamily, dict(mode=S.COFINITE,
+                               members=frozenset({ZERO_SUBSPACE}))),
+        (S.VectorRegion, dict(kind=S.BALL, vectors=(), radius=r2)),
+        (S.ProductSlice, dict(pieces=((IntervalUnion((iv,)), ball),))),
+        (S.ProductCylinder, dict(factors=(None, IntervalUnion((iv,))))),
+    ]
+    for cls, kwargs in cases:
+        by_name, by_position = cls(**kwargs), cls(*kwargs.values())
+        assert type(by_name) is cls
+        assert (by_name, hash(by_name), repr(by_name)) == \
+            (by_position, hash(by_position), repr(by_position))
+    # VectorRegion's defaults: no vectors, no radius
+    assert ball == S.VectorRegion(S.BALL, (), r2)
+    assert S.VectorRegion(S.FINITE_VECTORS) == \
+        S.VectorRegion(S.FINITE_VECTORS, (), None)
+    assert repr(iv) == \
+        "Interval(lo=Fraction(0, 1), lo_closed=True, hi=Fraction(1, 1), " \
+        "hi_closed=False)"
+    assert iv.__eq__(r0) is NotImplemented and iv != r0
 
 
 def test_intersect_union_subset():
