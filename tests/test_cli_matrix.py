@@ -1,0 +1,32 @@
+"""Every shipped command's bytes: each line of
+``tests/golden/cli-matrix.jsonl`` is rerun in process and must give the
+same exit code, stderr, and stdout with ``elapsed`` removed.
+``python3 tools/cli_matrix.py --write`` regenerates the file.
+
+``--help`` and a bare ``evs-lab`` are kept out of the matrix on purpose:
+help texts belong to the argument parser and may change with it."""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import cli_matrix  # noqa: E402
+
+GOLDEN = [json.loads(ln) for ln in pathlib.Path(cli_matrix.GOLDEN)
+          .read_text(encoding="utf-8").splitlines()]
+
+
+def test_the_matrix_holds_every_command():
+    assert [(g["argv"], g.get("env")) for g in GOLDEN] == cli_matrix.COMMANDS
+    assert not any("--help" in g["argv"] or not g["argv"] for g in GOLDEN)
+
+
+@pytest.mark.parametrize("expected", GOLDEN, ids=[
+    " ".join([*(f"{k}={v}" for k, v in g.get("env", {}).items()), *g["argv"]])
+    for g in GOLDEN])
+def test_command_output_matches_the_matrix(expected):
+    assert cli_matrix.run(expected["argv"], expected.get("env")) == expected
