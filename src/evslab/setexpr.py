@@ -164,7 +164,7 @@ def _parse_lattice_family(cur: _Cursor) -> st.LatticeFamily:
     return st.LatticeFamily(st.FINITE, _parse_subspace_set(cur))
 
 
-_PARSERS = {
+PARSERS = {
     "halfline": _parse_interval_union,
     "dict2": _parse_box_union,
     "lattice2": _parse_lattice_family,
@@ -174,9 +174,9 @@ _PARSERS = {
 def parse_set_expression(text: str, kind: str = "halfline"):
     """Parse a set expression for the given instance kind, returning the
     canonical representation."""
-    if kind not in _PARSERS:
+    if kind not in PARSERS:
         raise ValueError(f"no set grammar for instance kind {kind!r}")
     cur = _Cursor(text)
-    value = _PARSERS[kind](cur)
+    value = PARSERS[kind](cur)
     cur.done()
     return value

@@ -5,7 +5,7 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from evslab import core, scalars as sc
 from evslab import sets as st

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from evslab import cli as cli_module
 from evslab import sets as st
@@ -433,3 +433,15 @@ def test_a_driver_error_is_not_a_usage_error(runner, monkeypatch):
     res = runner.invoke(main, ["bounded", "halfline"])
     assert res.exit_code != 2
     assert isinstance(res.exception, ValueError)
+
+
+@pytest.mark.parametrize("spec,hint", [
+    ("dict2", True), ("lattice2", True),
+    ("cone:2", False),  # no set grammar: no --input file could help
+])
+def test_a_suite_of_per_set_deciders_asks_for_input(runner, spec, hint):
+    # sets runs only its per-set deciders off the half-line, on --input sets
+    res = runner.invoke(main, ["sets", spec])
+    assert res.exit_code == 2, res.output
+    assert f"no sets check applies to instance {spec!r}" in res.stderr
+    assert ("without --input" in res.stderr) == hint

@@ -19,7 +19,7 @@ import re
 import types
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import evslab
 from evslab import cli
@@ -89,19 +89,16 @@ def _unreferenced_functions(sets_source: str, other_sources,
     or assignment, nor in ``public``.  A method is listed as
     ``Class.name``; its name in a string constant anywhere counts as
     reached, since ``sets.carrier_operation`` looks methods up by name.
-    A decorated top-level function counts as reached, since its
-    decorator registers it (click reaches the ``cli`` commands that
-    way).  The ``brute_*``
-    reference oracles and the ``random_*`` generators exist for tests
-    and benchmarks, so they are exempt; a constant only tests read is
-    not."""
+    A decorator reaches nothing: a decorated top-level function is
+    listed like any other.  The ``brute_*`` reference oracles and the
+    ``random_*`` generators exist for tests and benchmarks, so they are
+    exempt; a constant only tests read is not."""
     tree = ast.parse(sets_source)
     others = [ast.parse(s) for s in other_sources]
     elsewhere = set().union(*(_names(t) for t in others))
     strings = set().union(*(_strings(t) for t in [tree, *others]))
     candidates = [(fn.name, fn.name, fn) for fn in tree.body
-                  if isinstance(fn, ast.FunctionDef)
-                  and not fn.decorator_list]
+                  if isinstance(fn, ast.FunctionDef)]
     candidates += [(f"{cls.name}.{fn.name}", fn.name, fn)
                    for cls in tree.body
                    if isinstance(cls, ast.ClassDef) for fn in cls.body
@@ -188,10 +185,10 @@ def test_reachability_checker_sees_constants():
               "g(SELF_TOO)\n"]) == []
 
 
-def test_reachability_checker_counts_a_decorated_function_as_reached():
+def test_reachability_checker_reports_a_decorated_function():
     cli_src = ("@main.command()\ndef bounded(): pass\n"
                "def helper(): pass\n")
-    assert _unreferenced_functions(cli_src, []) == ["helper"]
+    assert _unreferenced_functions(cli_src, []) == ["bounded", "helper"]
 
 
 def test_a_re_export_alone_reaches_nothing(tmp_path):

@@ -1,7 +1,8 @@
 """Start-up cost: ``import evslab`` loads a submodule only when one of its
-names is first read, and no module generates code (``dataclasses``) when
-it loads.  Each check runs in a fresh interpreter, since this test
-process has already imported every module."""
+names is first read, no module generates code (``dataclasses``) when it
+loads, and the command line loads neither ``click`` nor ``inspect``.
+Each check runs in a fresh interpreter, since this test process has
+already imported every module."""
 
 import json
 import os
@@ -51,7 +52,8 @@ def test_axioms_setup_loads_no_set_module_and_generates_no_code(
 def test_cli_import_generates_no_code():
     loaded = set(_fresh("import evslab.cli" + _LOADED))
     assert "evslab.topology" in loaded
-    assert "dataclasses" not in loaded
+    # the command line is argparse: no click, and so no inspect
+    assert sorted(loaded & {"dataclasses", "click", "inspect"}) == []
 
 
 def test_lazy_exports_resolve_to_their_definitions():

@@ -8,19 +8,19 @@ Each line of ``tests/golden/cli-matrix.jsonl`` is one command of
 (without the program name), the ``env`` it adds (only where it adds
 any), its ``exit`` code, its ``stderr``, and its ``stdout`` with every
 record's ``"elapsed"`` field removed.  ``EVS_LAB_SEED`` is unset unless
-``env`` sets it.  The ``--input`` files are under
-``tests/golden/cli-input/``.  ``--help`` and a bare ``evs-lab`` are not
-in the matrix, so their texts may change freely.
+``env`` sets it, and ``COLUMNS`` is 80, the width usage messages wrap
+at.  The ``--input`` files are under ``tests/golden/cli-input/``.
+``--help`` and a bare ``evs-lab`` are not in the matrix, so their texts
+may change freely.
 
 A change that alters any of these bytes regenerates the file with
 ``--write`` and lists the changed lines.  Without ``--write`` the tool
 prints the argv of every line that differs and exits 1 if any does.
-Standard library only; ``src`` is put on ``sys.path``.
+Standard library only; ``src`` and ``tests`` (for its in-process runner,
+``tests/cli_runner.py``) are put on ``sys.path``.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import re
@@ -118,30 +118,23 @@ _ELAPSED = re.compile(r'"elapsed": [-+.\deE]+, ')
 
 def run(argv, env=None) -> dict:
     """One matrix line: ``argv`` run in process from the repository
-    root, with ``EVS_LAB_SEED`` unset unless ``env`` sets it."""
+    root, with ``EVS_LAB_SEED`` unset unless ``env`` sets it and usage
+    messages wrapped at 80 columns."""
+    from cli_runner import CliRunner
     from evslab import cli
 
-    out, err = io.StringIO(), io.StringIO()
-    saved_env, saved_cwd = dict(os.environ), os.getcwd()
-    os.environ.pop("EVS_LAB_SEED", None)
-    os.environ.update(env or {})
+    saved_cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                cli.main(args=list(argv), prog_name="evs-lab")
-                code = 0
-            except SystemExit as exc:
-                code = exc.code if isinstance(exc.code, int) else 1
+        res = CliRunner().invoke(cli.main, argv, env={
+            "EVS_LAB_SEED": None, "COLUMNS": "80", **(env or {})})
     finally:
         os.chdir(saved_cwd)
-        os.environ.clear()
-        os.environ.update(saved_env)
     line = {"argv": list(argv)}
     if env:
         line["env"] = dict(env)
-    line.update(exit=code, stderr=err.getvalue(),
-                stdout=_ELAPSED.sub("", out.getvalue()))
+    line.update(exit=res.exit_code, stderr=res.stderr,
+                stdout=_ELAPSED.sub("", res.stdout))
     return line
 
 
@@ -154,7 +147,7 @@ def main(argv=None) -> int:
     ap.add_argument("--write", action="store_true",
                     help="rewrite the golden file instead of comparing")
     opts = ap.parse_args(argv)
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     lines = [to_line(run(argv, env)) for argv, env in COMMANDS]
     if opts.write:
         with open(GOLDEN, "w", encoding="utf-8") as fh:
