@@ -138,17 +138,14 @@ def run(argv, env=None) -> dict:
     return line
 
 
-def to_line(entry: dict) -> str:
-    return json.dumps(entry, ensure_ascii=False, sort_keys=True)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--write", action="store_true",
                     help="rewrite the golden file instead of comparing")
     opts = ap.parse_args(argv)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-    lines = [to_line(run(argv, env)) for argv, env in COMMANDS]
+    lines = [json.dumps(run(argv, env), ensure_ascii=False, sort_keys=True)
+             for argv, env in COMMANDS]
     if opts.write:
         with open(GOLDEN, "w", encoding="utf-8") as fh:
             fh.write("".join(ln + "\n" for ln in lines))
