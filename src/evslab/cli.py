@@ -9,6 +9,20 @@ verdicts as findings, which keep exit status 0 under --findings-ok.
 The instance suites and ``all`` run the rows of one table, ``CHECKS``;
 the eight subcommands are the rows of another, ``COMMANDS``, from which
 ``main`` builds its ``argparse`` parser.
+
+Importing this module loads no other evslab module but the backend:
+every row reaches its driver through the package's lazy attributes
+(``evslab.core.check_axioms``, ...), so a command loads a module when it
+first runs code in it.  Building the instance or morphism loads
+``instances``, ``core``, ``scalars`` and ``outcome``; beyond those,
+``axioms`` loads nothing, ``radial`` and ``all`` load ``setlaws``, with
+``sets`` where a separator is built (halfline, cone:n, dict2), ``sets``
+loads ``setlaws`` and ``sets``, ``bounded`` and ``localbase`` load
+``sets`` and ``topology``, ``all halfline`` loads all three, and
+``morphism`` loads ``setlaws`` and ``sets`` for a map with a
+transport.  An --input file, or the hint that a suite needs one, adds
+``setexpr`` and ``sets``; ``audit`` loads ``setexpr``, ``sets`` and
+``topology``.
 """
 
 import argparse
@@ -18,10 +32,7 @@ import sys
 import time
 from typing import Callable, List, NamedTuple, Optional
 
-from . import core, setexpr, setlaws, topology
-from . import sets as st
-from .instances import MORPHISMS, make_instance
-from .outcome import CheckOutcome, subseed
+import evslab
 
 DEFAULT_SEED = 42
 FINDING_SUITES = frozenset({"radial", "localbase", "audit"})
@@ -36,7 +47,7 @@ class UsageError(Exception):
 
 class ReportRecord:
     def __init__(self, check_id: str, instance: str, suite: str,
-                 outcome: CheckOutcome, elapsed: float):
+                 outcome: "evslab.outcome.CheckOutcome", elapsed: float):
         self.check_id = check_id
         self.instance = instance
         self.suite = suite
@@ -107,6 +118,7 @@ class Check(NamedTuple):
 
 
 def _local_base(E, budget, seed, family):
+    topology = evslab.topology
     try:
         return topology.check_local_base_conditions(
             topology.usual_base(8) if family is None else family,
@@ -115,43 +127,48 @@ def _local_base(E, budget, seed, family):
         raise UsageError(str(exc))
 
 
+def _interval_sets(E):  # the carrier decides boundedness and set laws
+    return evslab.instances.has_interval_sets(E)
+
+
 def _readable(E):  # an {i} row runs on --input sets, so needs a grammar
-    return E.element_kind in setexpr.PARSERS
+    return E.element_kind in evslab.setexpr.PARSERS
 
 
 def _bounded_input(E, A, i, seed):
-    if not hasattr(A, "bounded"):
-        raise UsageError(
-            f"no boundedness decider for {type(A).__name__} sets "
-            f"on {E.name}")
-    return topology.is_bounded_set(A, subseed(seed, f"in{i}:bnd"))
+    return evslab.topology.is_bounded_set(
+        A, evslab.outcome.subseed(seed, f"in{i}:bnd"))
 
 
-# rows in report order; drivers are looked up on each call, so a patched
-# or traced library function is the one that runs
+# rows in report order; each driver reaches its module through the
+# package's lazy attributes, so a command loads only the modules it runs,
+# and looks the function up on each call, so a patched or traced library
+# function is the one that runs
 CHECKS = (
     Check("axioms", "axioms.",
-          lambda E, b, s, _: core.check_axioms(E, b, s)),
+          lambda E, b, s, _: evslab.core.check_axioms(E, b, s)),
     Check("axioms", "structure.primitive-scaling",
-          lambda E, b, s, _: core.check_primitive_scaling(E, b, s)),
+          lambda E, b, s, _: evslab.core.check_primitive_scaling(E, b, s)),
     Check("sets", "sets.",
-          lambda E, b, s, _: setlaws.check_absorbing_closure_laws(E, b, s),
-          setlaws.has_interval_sets),
+          lambda E, b, s, _:
+          evslab.setlaws.check_absorbing_closure_laws(E, b, s),
+          _interval_sets),
     Check("sets", "sets.",
-          lambda E, b, s, _: setlaws.check_balanced_closure_laws(E, b, s),
-          setlaws.has_interval_sets),
+          lambda E, b, s, _:
+          evslab.setlaws.check_balanced_closure_laws(E, b, s),
+          _interval_sets),
     Check("sets", "sets.input{i}.balanced",
-          lambda E, A, i, s: st.is_balanced(A), _readable),
+          lambda E, A, i, s: evslab.sets.is_balanced(A), _readable),
     Check("sets", "sets.input{i}.absorbing",
-          lambda E, A, i, s: st.is_absorbing(A), _readable),
+          lambda E, A, i, s: evslab.sets.is_absorbing(A), _readable),
     # the law ids already start with "bounded."
     Check("bounded", "",
-          lambda E, b, s, _: topology.check_bounded_laws(E, b, s),
-          setlaws.has_interval_sets),
-    Check("bounded", "bounded.input{i}", _bounded_input, _readable),
-    Check("localbase", "localbase.", _local_base, setlaws.has_interval_sets),
+          lambda E, b, s, _: evslab.topology.check_bounded_laws(E, b, s),
+          _interval_sets),
+    Check("bounded", "bounded.input{i}", _bounded_input, _interval_sets),
+    Check("localbase", "localbase.", _local_base, _interval_sets),
     Check("radial", "radial",
-          lambda E, b, s, _: setlaws.check_radial(E, b, s)),
+          lambda E, b, s, _: evslab.setlaws.check_radial(E, b, s)),
 )
 
 
@@ -162,29 +179,33 @@ def run_suite(suite: str, spec: str, budget: int, seed: int,
     """The records of the ``CHECKS`` rows of ``suite`` that apply to the
     instance, or of every row for ``all``: each law row in table order,
     then the ``{i}`` rows on each --input set in turn.  The
-    ``structure.*`` rows run only under ``all``."""
+    ``structure.*`` rows run only under ``all``.  Whether an ``{i}`` row
+    applies is asked only with an --input file, which must hold a set,
+    or when no law row applies, to say whether a file would help."""
     try:
-        E = make_instance(spec)
+        E = evslab.instances.make_instance(spec)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = [r for r in CHECKS if r.applies(E) and (suite == "all" or (
-        r.suite == suite and not r.check_id.startswith("structure.")))]
-    each = [r for r in rows if "{i}" in r.check_id]
-    inputs = _load_sets(input_path, E.element_kind,
-                        nonempty=bool(each)) if rows else None
+    rows = [r for r in CHECKS if suite == "all" or (
+        r.suite == suite and not r.check_id.startswith("structure."))]
+    laws = [r for r in rows if "{i}" not in r.check_id and r.applies(E)]
+    each = [r for r in rows if "{i}" in r.check_id and (
+        input_path is not None or not laws) and r.applies(E)]
+    if not laws and (not each or input_path is None):
+        need = " without --input" if each else ""
+        raise UsageError(
+            f"no {suite} check applies to instance {spec!r}{need}")
+    inputs = _load_sets(input_path, E.element_kind, nonempty=bool(each))
+    if each and not inputs:
+        raise UsageError(f"{input_path} holds no set")
     recs: List[ReportRecord] = []
-    for r in rows:
-        if "{i}" not in r.check_id:
-            recs += _timed(r.check_id, E.name, r.suite,
-                           lambda: r.driver(E, budget, seed, inputs))
+    for r in laws:
+        recs += _timed(r.check_id, E.name, r.suite,
+                       lambda: r.driver(E, budget, seed, inputs))
     for i, A in enumerate(inputs or ()):
         for r in each:
             recs += _timed(r.check_id.format(i=i), E.name, r.suite,
                            lambda: r.driver(E, A, i, seed))
-    if not recs:  # rows that gave none are {i} rows, run on --input sets
-        need = " without --input" if rows and input_path is None else ""
-        raise UsageError(
-            f"no {suite} check applies to instance {spec!r}{need}")
     return recs
 
 
@@ -210,31 +231,34 @@ def run_audit(input_path: str) -> List[ReportRecord]:
     recs: List[ReportRecord] = []
     for i, G in enumerate(gens):
         recs += _timed(f"audit.gen{i}", "halfline", "audit",
-                       lambda: topology.audit_generator(G))
+                       lambda: evslab.topology.audit_generator(G))
     recs += _timed("audit.family", "halfline", "audit",
-                   lambda: topology.finest_topology_audit(
+                   lambda: evslab.topology.finest_topology_audit(
                        gens, [r.outcome for r in recs]))
     return recs
 
 
 def run_morphism(name: str, budget: int, seed: int) -> List[ReportRecord]:
-    if name not in MORPHISMS:
+    shipped = evslab.instances.MORPHISMS
+    if name not in shipped:
         raise UsageError(
             f"unknown morphism {name!r}; shipped: "
-            + ", ".join(sorted(MORPHISMS)))
-    phi = MORPHISMS[name]()
+            + ", ".join(sorted(shipped)))
+    phi = shipped[name]()
     tag = f"{phi.domain.name}->{phi.codomain.name}"
     recs = _timed(
         f"morphism.{name}.laws", tag, "morphism",
-        lambda: core.check_order_morphism(
+        lambda: evslab.core.check_order_morphism(
             phi.forward, phi.domain, phi.codomain, budget, seed))
     if phi.transport is not None:
         recs += _timed(
             f"morphism.{name}.transport.absorbing", tag, "morphism",
-            lambda: setlaws.check_absorbing_transport(phi, budget, seed))
+            lambda: evslab.setlaws.check_absorbing_transport(
+                phi, budget, seed))
         recs += _timed(
             f"morphism.{name}.transport.radial", tag, "morphism",
-            lambda: setlaws.check_radial_transport(phi, budget, seed))
+            lambda: evslab.setlaws.check_radial_transport(
+                phi, budget, seed))
     return recs
 
 
@@ -252,7 +276,7 @@ def _load_sets(input_path: Optional[str], kind: str,
         if not ln or ln.startswith("#"):
             continue
         try:
-            A = setexpr.parse_set_expression(ln, kind)
+            A = evslab.setexpr.parse_set_expression(ln, kind)
         except ValueError as exc:
             raise UsageError(f"{input_path}:{lineno}: {exc}")
         if nonempty and A.is_empty():

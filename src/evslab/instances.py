@@ -67,6 +67,17 @@ def half_line() -> EvsDescriptor:
     )
 
 
+def has_interval_sets(E: EvsDescriptor) -> bool:
+    """True when E's exact sets are interval unions: on the half line."""
+    return E.element_kind == "halfline"
+
+
+def _require_interval_support(E: EvsDescriptor):
+    if not has_interval_sets(E):
+        raise ValueError(
+            f"law driver needs IntervalUnion sets, which {E.name} lacks")
+
+
 # ------------------------------------------------ cone and twisted products
 
 def _vector_product(n: int, kind: str, scale: Callable,

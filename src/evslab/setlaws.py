@@ -21,28 +21,22 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import scalars as sc
-from . import sets as st
 from ._backend import rat
 from .core import EvsDescriptor, product_evs
-from .instances import OrderIso
+from .instances import (FULL_SUBSPACE, ZERO_SUBSPACE, OrderIso,
+                        _require_interval_support, has_interval_sets)
 from .outcome import (PAIR_CAP, CheckOutcome, check_law, refuted, rendered,
                       subseed, unfalsified)
 
 _CLOSURE_PROVEN = "exact deciders re-verified every constructed set"
 
 
-def has_interval_sets(E: EvsDescriptor) -> bool:
-    """True when E's exact sets are interval unions: on the half line."""
-    return E.element_kind == "halfline"
-
-
-def _require_interval_support(E: EvsDescriptor):
-    if not has_interval_sets(E):
-        raise ValueError(
-            f"law driver needs IntervalUnion sets, which {E.name} lacks")
-
+# The laws and separators that build sets import ``sets`` when called,
+# so that a radial check with no separator to build loads no set module.
 
 def _random_corpus(budget: int, seed: int, pred) -> list:
+    from . import sets as st
+
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -57,6 +51,8 @@ def _random_corpus(budget: int, seed: int, pred) -> list:
 def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
                                  seed: int) -> dict:
     """Laws (i)-(v) for absorbing sets on random interval unions."""
+    from . import sets as st
+
     _require_interval_support(E)
     n = max(4, budget // 10)
     absorbing = _random_corpus(n, subseed(seed, "abs:gen"),
@@ -105,6 +101,8 @@ def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
 def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
                                 seed: int) -> dict:
     """Laws (i)-(v) for balanced sets, with |lambda| arbitrary in (v)."""
+    from . import sets as st
+
     _require_interval_support(E)
     n = max(4, budget // 10)
     balanced = _random_corpus(n, subseed(seed, "bal:gen"),
@@ -162,7 +160,15 @@ def radial_separator(E: EvsDescriptor, x, y):
     return _SEPARATORS[kind](E, x, y)
 
 
+def _halfline_separator(E: EvsDescriptor, x, y):
+    from . import sets as st
+
+    return st.iu((0, (x + y) / 2))
+
+
 def _dict2_separator(E: EvsDescriptor, x, y):
+    from . import sets as st
+
     (x1, y1), (x2, y2) = x, y
     if x1 != x2:
         # keep the point with the smaller first coordinate
@@ -178,6 +184,8 @@ def _cone_separator(E: EvsDescriptor, x, y):
     """Absorbing slice containing x but not y (or the other way around):
     a basic [0,s) x ball(t) avoiding one point, with the kept point
     adjoined if needed."""
+    from . import sets as st
+
     theta = E.zero
 
     def basic_avoiding(pt):
@@ -197,7 +205,7 @@ def _cone_separator(E: EvsDescriptor, x, y):
 
 # the element kinds with an exact separator construction
 _SEPARATORS = {
-    "halfline": lambda E, x, y: st.iu((0, (x + y) / 2)),
+    "halfline": _halfline_separator,
     "dict2": _dict2_separator,
     "cone": _cone_separator,
 }
@@ -213,6 +221,8 @@ def _separates(A, x, y, base=None) -> bool:
     its trace on a subevs, passes that separator as ``base``: base's
     absorbency is decided, and the construction's lemma carries it to
     A."""
+    from . import sets as st
+
     return (st.set_member(A, x) != st.set_member(A, y)
             and st.is_absorbing(A if base is None else base).proven)
 
@@ -231,6 +241,8 @@ class _Clauses(NamedTuple):
                 self.key: A.render(), "_raw": (x, y, A)}
 
     def detail(self, A, x, y, *_) -> str:
+        from . import sets as st
+
         return self.not_separated if st.set_member(A, x) == \
             st.set_member(A, y) else self.not_absorbing
 
@@ -241,7 +253,7 @@ def check_radial(E: EvsDescriptor, budget: int, seed: int) -> CheckOutcome:
     Refuted from its exact absorbing characterisation."""
     n = max(4, budget // 4)
     if E.element_kind == "lattice2":
-        x, y = st.ZERO_SUBSPACE, st.FULL_SUBSPACE
+        x, y = ZERO_SUBSPACE, FULL_SUBSPACE
         return refuted(
             {"x": E.render(x), "y": E.render(y), "_raw": (x, y)}, n, seed,
             "the only absorbing family is the whole lattice, which "
@@ -261,6 +273,8 @@ def check_radial(E: EvsDescriptor, budget: int, seed: int) -> CheckOutcome:
 def product_cylinder_separator(parts: Sequence[EvsDescriptor], x, y):
     """The productive-proof construction: a cylinder that is the whole
     space in every coordinate except one, where a separator sits."""
+    from . import sets as st
+
     for i, (p, xi, yi) in enumerate(zip(parts, x, y)):
         if not p.eq(xi, yi):
             A_i = radial_separator(p, xi, yi)
@@ -318,6 +332,8 @@ def check_radial_product_and_hereditary(
 def transport_set(phi: OrderIso, A):
     """Exact image of an endpoint-defined set under a shipped
     order-isomorphism."""
+    from . import sets as st
+
     if phi.transport is None or not (has_interval_sets(phi.domain)
                                      and isinstance(A, st.IntervalUnion)):
         raise ValueError(
@@ -330,6 +346,8 @@ def check_absorbing_transport(phi: OrderIso, budget: int,
     """A absorbing iff phi(A) absorbing, on random interval unions.  A
     map onto a proper subevs decides phi(A) within that subevs, through
     its ``image_view``."""
+    from . import sets as st
+
     rng = random.Random(subseed(seed, "transport"))
     sets = (st.random_interval_union(rng) for _ in range(max(4, budget)))
     images = ((A, transport_set(phi, A)) for A in sets)

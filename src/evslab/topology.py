@@ -16,10 +16,10 @@ from typing import Sequence, Tuple
 from . import scalars as sc
 from . import sets as st
 from ._backend import ONE, ZERO, Rat, draw_int, draw_rat, rat, rat_str
+from .instances import _require_interval_support
 from .outcome import (PAIR_CAP, CheckOutcome, check_law, proven, refuted,
                       rendered, subseed, unfalsified)
 from .sets import INF, Interval, IntervalUnion, interval_union, iu
-from .setlaws import _require_interval_support
 
 _CORPUS_PROVEN = "exact re-decision succeeded on the whole corpus"
 
@@ -184,6 +184,26 @@ def _validate_family(family: Sequence[IntervalUnion]):
                 f"family member {U.render()} does not contain theta")
 
 
+def _least_member(family: Sequence[IntervalUnion]):
+    """The member inside every member, or None.  A finite family has one
+    exactly when every pair U, V has a member inside U & V (local-base
+    condition (ii)): applied to a member inside the first k members and
+    to the next member, (ii) gives a member inside the first k + 1.  One
+    pass replaces the kept member by each member it is not inside, which
+    ends on a least member if there is one; a second pass checks it."""
+    least = family[0]
+    for U in family[1:]:
+        if not st.iu_subset(least, U):
+            least = U
+    return least if all(st.iu_subset(least, U) for U in family) else None
+
+
+def _has_member_inside(family: Sequence[IntervalUnion], U: IntervalUnion,
+                       V: IntervalUnion) -> bool:
+    meet = st.iu_intersect(U, V)
+    return any(st.iu_subset(W, meet) for W in family)
+
+
 def _halves(U: IntervalUnion) -> bool:
     """True when ``halving_nbhd`` builds a verified W with W + W in U."""
     try:
@@ -198,6 +218,7 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
     """The five local-base conditions for a candidate family at theta."""
     _validate_family(family)
     family = tuple(family)
+    least = _least_member(family)
     law = partial(check_law, seed=seed, proven_detail=_CORPUS_PROVEN)
     out = {
         # (i) every member balanced and absorbing — exact deciders
@@ -205,19 +226,21 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
             ((U,) for U in family),
             lambda U: st.is_balanced(U).proven and st.is_absorbing(U).proven,
             rendered("U"), "member not balanced and absorbing"),
-        # (ii) some member inside each pairwise intersection — exact search
+        # (ii) some member inside each pairwise intersection.  The least
+        # member is inside every one; without it some pair fails, and an
+        # exact search finds the first
         "ii": law(
-            ((U, V, st.iu_intersect(U, V)) for U in family for V in family),
-            lambda U, V, I: any(st.iu_subset(W, I) for W in family),
+            ((U, V) for U in family for V in family),
+            lambda U, V: least is not None or _has_member_inside(
+                family, U, V),
             rendered("U", "V"), "no member inside the intersection"),
-        # (iii) halving: for each U a verified W with W + W inside U.  A
-        # family member is preferred; otherwise the halved 0-component is
-        # constructed and checked exactly (a finite truncation of a nested
-        # family has no member at the smallest scales).
+        # (iii) halving: for each U a verified W with W + W inside U, the
+        # halved 0-component, constructed and checked exactly, or else a
+        # family member (a {0} 0-component has no half)
         "iii": law(
             ((U,) for U in family),
-            lambda U: any(st.iu_subset(st.iu_minkowski(W, W), U)
-                          for W in family) or _halves(U),
+            lambda U: _halves(U) or any(
+                st.iu_subset(st.iu_minkowski(W, W), U) for W in family),
             rendered("U"), "no W with W + W inside U"),
     }
 
@@ -226,7 +249,8 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
     # member, the family's separating resolution: pairs closer than that
     # cannot be split by translates of any member.  A {0} member has
     # width 0, which would make every grid pair coincide, so only
-    # positive widths count.
+    # positive widths count.  Every member holds theta, so the up-set of
+    # x + U is [x,oo) for each U, and the first member stands for all.
     widths = [U.components[0].hi for U in family
               if U.components[0].hi is not INF and U.components[0].hi > 0]
     step = min(widths, default=ONE)
@@ -240,9 +264,9 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
     iv = check_law(
         pairs,
         lambda x, y: any(
-            st.iu_intersect(st.iu_up(st.iu_translate(x, U)),
+            st.iu_intersect(st.iu_up(st.iu_translate(x, family[0])),
                             st.iu_down(st.iu_translate(y, V))).is_empty()
-            for U in family for V in family),
+            for V in family),
         lambda x, y: {"x": rat_str(x), "y": rat_str(y)},
         "no separating member pair in the family", seed)
     out["iv"] = iv if iv.refuted else unfalsified(

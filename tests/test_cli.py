@@ -340,12 +340,17 @@ def test_sets_input_matches_golden_records(runner, kind):
 def test_bounded_input_without_a_decider_is_a_usage_error(runner, tmp_path,
                                                           kind, text,
                                                           carrier):
+    # only the half line's carrier decides boundedness, so no bounded row
+    # applies, with or without a file, and no carrier is asked
     f = tmp_path / "sets.txt"
     f.write_text(text)
-    res = runner.invoke(main, ["bounded", kind, "--input", str(f)])
-    assert res.exit_code == 2, res.output
-    assert carrier in res.output
-    assert not isinstance(res.exception, TypeError)
+    for args in (["bounded", kind], ["bounded", kind, "--input", str(f)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.stderr.endswith(
+            f"error: no bounded check applies to instance {kind!r}\n")
+        assert carrier not in res.output
+        assert not isinstance(res.exception, TypeError)
 
 
 @pytest.mark.parametrize("family", ["[0,0]\n", "[0,1)\n[0,0] U (1,2)\n"])
@@ -445,3 +450,16 @@ def test_a_suite_of_per_set_deciders_asks_for_input(runner, spec, hint):
     assert res.exit_code == 2, res.output
     assert f"no sets check applies to instance {spec!r}" in res.stderr
     assert ("without --input" in res.stderr) == hint
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("sets", "dict2"), ("sets", "halfline"), ("bounded", "halfline")])
+def test_an_input_file_without_a_set_is_a_usage_error(runner, tmp_path,
+                                                      command, spec):
+    # as audit refuses a file without a generator; no law runs either
+    f = tmp_path / "comments.txt"
+    f.write_text("# no set here\n\n")
+    res = runner.invoke(main, [command, spec, "--input", str(f)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.endswith(f"error: {f} holds no set\n")

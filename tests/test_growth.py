@@ -1,20 +1,25 @@
-"""Linear-growth gate for the law drivers.
+"""Linear-growth gate for the law drivers and the --input commands.
 
 Each driver runs at a budget B and at 4B while every call into the
 interval kernel, the set deciders and the instance descriptor is
 counted.  A driver linear in its budget makes about 4x as many calls at
 4B, a quadratic one about 16x; the gate fails above 4.5x.  The
-separation drivers have their own gate in ``test_setlaws.py``.
+separation drivers have their own gate in ``test_setlaws.py``.  The
+commands that read an --input file run on N and on 4N input sets, at
+budget 1, with the parser and the per-set deciders counted as well.
 """
+
+import random
 
 import pytest
 
-from evslab import core, setlaws, topology
+from evslab import cli, core, setexpr, setlaws, topology
 from evslab import sets as st
 from evslab.instances import MORPHISMS, half_line, make_instance
 from evslab.outcome import check_law
 
 GROWTH_BOUND = 4.5
+INPUT_SETS = 50
 KERNEL = ("interval_union", "iu_intersect", "iu_union", "iu_subset",
           "iu_scale", "iu_translate", "iu_minkowski", "iu_up", "iu_down",
           "scale_set", "random_interval_union", "set_member",
@@ -119,3 +124,41 @@ def test_gate_fails_a_planted_quadratic_driver(monkeypatch):
     counts = _Counter(monkeypatch).growth(quadratic, 200)
     with pytest.raises(AssertionError):
         _assert_linear(counts)
+
+
+def _random_sets(count):
+    rng = random.Random(7)
+    return [st.random_interval_union(rng) for _ in range(count)]
+
+
+# command -> (run on an --input path, the sets written to it): random
+# interval unions, and for localbase a nested candidate base
+_INPUT_COMMANDS = {
+    "sets": (lambda path: cli.run_sets("halfline", 1, 7, path),
+             _random_sets),
+    "bounded": (lambda path: cli.run_bounded("halfline", 1, 7, path),
+                _random_sets),
+    "localbase": (lambda path: cli.run_suite("localbase", "halfline", 1, 7,
+                                             path), topology.usual_base),
+    "audit": (cli.run_audit, _random_sets),
+}
+
+
+@pytest.mark.parametrize("command", _INPUT_COMMANDS)
+def test_input_commands_grow_linearly(monkeypatch, tmp_path, command):
+    run_command, make_sets = _INPUT_COMMANDS[command]
+    paths = {}
+    for n in (INPUT_SETS, 4 * INPUT_SETS):
+        paths[n] = tmp_path / f"{n}.txt"
+        paths[n].write_text("".join(A.render() + "\n"
+                                    for A in make_sets(n)), encoding="utf-8")
+    count = _Counter(monkeypatch)
+    for module, name in ((topology, "is_bounded_set"),
+                         (topology, "audit_generator"),
+                         (setexpr, "parse_set_expression")):
+        monkeypatch.setattr(module, name, count.wrap(getattr(module, name)))
+    counts = count.growth(lambda _, n: run_command(str(paths[n])),
+                          INPUT_SETS)
+    _assert_linear(counts)
+    # every set was parsed, so the counters saw the whole file
+    assert counts[1] >= 4 * INPUT_SETS

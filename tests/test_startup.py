@@ -1,8 +1,9 @@
 """Start-up cost: ``import evslab`` loads a submodule only when one of its
 names is first read, no module generates code (``dataclasses``) when it
-loads, and the command line loads neither ``click`` nor ``inspect``.
-Each check runs in a fresh interpreter, since this test process has
-already imported every module."""
+loads, and the command line loads neither ``click`` nor ``inspect``,
+and no evslab module until a command runs it.  Each check runs in a
+fresh interpreter, since this test process has already imported every
+module."""
 
 import json
 import os
@@ -51,9 +52,45 @@ def test_axioms_setup_loads_no_set_module_and_generates_no_code(
 
 def test_cli_import_generates_no_code():
     loaded = set(_fresh("import evslab.cli" + _LOADED))
-    assert "evslab.topology" in loaded
+    # a command loads what it runs, when it runs it
+    assert sorted(m for m in loaded if m.startswith("evslab")) == [
+        "evslab", "evslab._backend", "evslab.cli"]
     # the command line is argparse: no click, and so no inspect
     assert sorted(loaded & {"dataclasses", "click", "inspect"}) == []
+
+
+NO_SET_MODULE = ("evslab.sets", "evslab.topology", "evslab.setexpr")
+HALFLINE_SETS = str(ROOT / "tests" / "golden" / "cli-input" /
+                    "halfline-sets.txt")
+
+
+UNLOADED_BY = [
+    # no set is built: twisted:2 and the product have no separator, and
+    # lattice2 is refuted from its absorbing characterisation
+    (["all", "twisted:2"], NO_SET_MODULE),
+    (["all", "lattice2"], NO_SET_MODULE),
+    (["all", "product:(halfline,dict2)"], NO_SET_MODULE),
+    # separators are sets, but nothing decides boundedness
+    (["all", "cone:2"], ("evslab.topology",)),
+    (["all", "dict2"], ("evslab.topology",)),
+    (["sets", "halfline", "--input", HALFLINE_SETS], ("evslab.topology",)),
+    # no file, so no set grammar
+    (["all", "halfline"], ("evslab.setexpr",)),
+]
+
+
+@pytest.mark.parametrize("argv,unloaded", UNLOADED_BY,
+                         ids=[" ".join(argv[:2]) for argv, _ in UNLOADED_BY])
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    loaded = set(_fresh(f"""
+import evslab.cli
+try:
+    evslab.cli.main({[*argv, "--budget", "20"]!r})
+except SystemExit:
+    pass
+""" + _LOADED))
+    assert "evslab.core" in loaded  # the command ran
+    assert sorted(loaded & set(unloaded)) == []
 
 
 def test_lazy_exports_resolve_to_their_definitions():

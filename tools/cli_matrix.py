@@ -96,6 +96,8 @@ def _commands():
         ["sets", "halfline", "--input", INPUT + "bad-line.txt"],
         ["audit", "--input", INPUT + "zero-denominator.txt"],
         ["sets", "cone:2", "--input", INPUT + "halfline-sets.txt"],
+        ["sets", "dict2", "--input", INPUT + "no-sets.txt"],
+        ["sets", "halfline", "--input", INPUT + "no-sets.txt"],
         ["bounded", "dict2", "--input", "tests/golden/dict2-sets.txt"],
         ["localbase", "halfline", "--input",
          INPUT + "family-without-theta.txt"],
