@@ -44,6 +44,9 @@ The module functions ``set_member``, ``set_with_point``, ``scale_set``,
 ``is_balanced`` and ``is_absorbing`` (and ``topology.is_bounded_set``)
 look the operation up on the carrier and raise TypeError where it has
 none; the law drivers call these functions, never the methods.
+``is_balanced`` and ``is_bounded_set`` then raise ValueError on an
+empty set through ``require_nonempty``, the one statement of that
+rule, so the ``balanced`` and ``bounded`` methods never see one.
 """
 
 import random
@@ -186,8 +189,6 @@ class IntervalUnion(_Frozen):
         return iu_union(self, iu((x, x, True, True)))
 
     def balanced(self) -> CheckOutcome:
-        if self.is_empty():
-            raise ValueError("empty set")
         comps = self.components
         if len(comps) == 1 and comps[0].lo == 0 and comps[0].lo_closed:
             return proven("single interval anchored at 0 (star-shaped)")
@@ -224,8 +225,6 @@ class IntervalUnion(_Frozen):
                        detail="theta = 0.x is outside A")
 
     def bounded(self, seed: int) -> CheckOutcome:
-        if self.is_empty():
-            raise ValueError("empty set")
         s, _ = self.sup()
         if s is not INF:
             bound = s + 1
@@ -331,8 +330,7 @@ def _max_hi(a: Interval, b: Interval):
 
 def iu(*pieces) -> IntervalUnion:
     """Convenience constructor from (lo, hi[, lo_closed, hi_closed]) tuples."""
-    return interval_union([ival(*p) if isinstance(p, tuple) else p
-                           for p in pieces])
+    return interval_union([ival(*p) for p in pieces])
 
 
 def iu_intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -537,11 +535,16 @@ class AnchoredBoxUnion(_Frozen):
         return " U ".join(bx.render() for bx in self.boxes)
 
     def scale(self, lam: sc.Scalar) -> "AnchoredBoxUnion":
-        return box_scale(sc.modulus(lam), self)
+        t = sc.modulus(lam)
+        if t == 0:  # every point goes to the origin
+            return box_union([Box(ZERO, True, ZERO, True)] if self.boxes
+                             else [])
+        return box_union([
+            Box(INF if b.a is INF else b.a * t, b.a_closed,
+                INF if b.b is INF else b.b * t, b.b_closed)
+            for b in self.boxes])
 
     def balanced(self) -> CheckOutcome:
-        if self.is_empty():
-            raise ValueError("empty set")
         return proven("anchored box unions are closed under diagonal shrink")
 
     def absorbing(self) -> CheckOutcome:
@@ -572,20 +575,6 @@ def box_union(boxes: Sequence[Box]) -> AnchoredBoxUnion:
     maximal.sort(key=lambda b: (b.a is INF, b.a if b.a is not INF else ZERO,
                                 b.b is INF, b.b if b.b is not INF else ZERO))
     return AnchoredBoxUnion(tuple(maximal))
-
-
-def box_scale(t, u: AnchoredBoxUnion) -> AnchoredBoxUnion:
-    t = rat(t)
-    if t < 0:
-        raise ValueError("scale factor must be >= 0 (use the modulus)")
-    if t == 0:
-        if u.is_empty():
-            return AnchoredBoxUnion(())
-        return box_union([Box(ZERO, True, ZERO, True)])
-    return box_union([
-        Box(INF if b.a is INF else b.a * t, b.a_closed,
-            INF if b.b is INF else b.b * t, b.b_closed)
-        for b in u.boxes])
 
 
 # --------------------------------------------------------- lattice family
@@ -623,11 +612,13 @@ class LatticeFamily(_Frozen):
         return "ALL" if not names else "ALL\\{" + inner + "}"
 
     def scale(self, lam: sc.Scalar) -> "LatticeFamily":
-        return lattice_scale(lam, self)
+        """Y -> lam.Y is the identity for lam != 0 and sends every Y to
+        zero for lam = 0."""
+        if lam.is_zero() and not self.is_empty():
+            return LatticeFamily(FINITE, frozenset((ZERO_SUBSPACE,)))
+        return self
 
     def balanced(self) -> CheckOutcome:
-        if self.is_empty():
-            raise ValueError("empty set")
         if self.member(ZERO_SUBSPACE):
             return proven(
                 "alpha.Y = Y for alpha != 0 and 0.Y = zero is in A")
@@ -642,10 +633,6 @@ class LatticeFamily(_Frozen):
         y = some_subspace(self, inside=False)
         return refuted(lambda: {"x": render_subspace(y), "_raw": (y,)},
                        detail="mu.Y = Y stays outside A for every mu != 0")
-
-
-def lattice_family(mode: str, members) -> LatticeFamily:
-    return LatticeFamily(mode, frozenset(members))
 
 
 ALL_SUBSPACES = LatticeFamily(COFINITE, frozenset())
@@ -667,16 +654,6 @@ def some_subspace(fam: LatticeFamily, inside: bool):
         if fam.member(cand) == inside:
             return cand
         k += 1
-
-
-def lattice_scale(lam: sc.Scalar, fam: LatticeFamily) -> LatticeFamily:
-    """Exact image under Y -> lam.Y: identity for lam != 0, collapse to
-    {zero} for lam = 0."""
-    if lam.is_zero():
-        if fam.is_empty():
-            return fam
-        return lattice_family(FINITE, [ZERO_SUBSPACE])
-    return fam
 
 
 # ---------------------------------------------------------- product slice
@@ -763,8 +740,6 @@ class ProductSlice(_Frozen):
         zero vector.  The witness x is a point of the first piece, with
         vector ``None`` in ``_raw`` and ``0`` in ``x`` when that piece
         is a ball.  Otherwise Unfalsified."""
-        if self.is_empty():
-            raise ValueError("empty set")
         pieces = self._nonempty_pieces()
         if all(reg.kind == BALL and len(iupart.components) == 1
                and iupart.components[0].lo == 0
@@ -837,8 +812,6 @@ class ProductSlice(_Frozen):
                    "(e1 = (1, 0, ..., 0)), so no alpha > 0 works")
 
     def bounded(self, seed: int) -> CheckOutcome:
-        if self.is_empty():
-            raise ValueError("empty set")
         sups = []
         for iupart, reg in self._nonempty_pieces():
             s, _ = iupart.sup()
@@ -921,10 +894,19 @@ def scale_set(lam: sc.Scalar, A):
     return carrier_operation(A, "scale")(lam)
 
 
+def require_nonempty(A):
+    """ValueError for an empty set, which ``is_balanced`` and
+    ``topology.is_bounded_set`` reject after the carrier lookup."""
+    if A.is_empty():
+        raise ValueError("empty set")
+
+
 def is_balanced(A) -> CheckOutcome:
     """Balancedness, decided exactly from the representation (product
     slices may answer Unfalsified).  Rejects the empty set."""
-    return carrier_operation(A, "balanced")()
+    decide = carrier_operation(A, "balanced")
+    require_nonempty(A)
+    return decide()
 
 
 def is_absorbing(A) -> CheckOutcome:

@@ -41,14 +41,11 @@ def halving_nbhd(U: IntervalUnion) -> IntervalUnion:
     """W with W + W inside U: half the 0-component, verified exactly."""
     if not U.member(ZERO):
         raise ValueError("theta is not a member of the set")
-    c0 = U.components[0]
-    if c0.hi is INF:
-        W = iu((0, INF))
-    elif c0.hi == 0:
+    hi = U.components[0].hi
+    if hi == 0:
         # [0,0) would be empty: no neighbourhood of theta halves {0}
         raise ValueError("the 0-component of the set is {0}")
-    else:
-        W = IntervalUnion((Interval(ZERO, True, c0.hi / 2, False),))
+    W = iu((0, INF if hi is INF else hi / 2))
     if not st.iu_subset(st.iu_minkowski(W, W), U):
         raise AssertionError("W + W escaped U")
     return W
@@ -60,7 +57,9 @@ def is_bounded_set(A, seed: int = 0) -> CheckOutcome:
     """Exact boundedness for interval unions and product slices; an
     unbounded set is Refuted with a symbolic escaping sequence.  ``seed``
     is only written into the outcome."""
-    return st.carrier_operation(A, "bounded")(seed)
+    decide = st.carrier_operation(A, "bounded")
+    st.require_nonempty(A)
+    return decide(seed)
 
 
 def definition_bounded_grid(A: IntervalUnion) -> bool:
@@ -345,21 +344,16 @@ def audit_generator(G: IntervalUnion) -> CheckOutcome:
     """Per-generator audit: the generator must be usual-open to sit in a
     topology compatible with the scalar action; violations ship an
     escape scalar t whose action crosses the offending boundary."""
-    for idx, c in enumerate(G.components):
+    comps = G.components
+    for idx, c in enumerate(comps):
+        # t sends the closed endpoint x halfway to gap_end, the far side
+        # of the gap next to it
         if c.lo_closed and c.lo != 0:
-            below = G.components[idx - 1].hi if idx > 0 else ZERO
-            t = (below + c.lo) / (2 * c.lo)
-            escape = t * c.lo
-            if G.member(escape):
-                raise AssertionError("gap point unexpectedly inside")
-            return refuted(
-                {"component": c.render(), "x": rat_str(c.lo),
-                 "t": rat_str(t), "escape": rat_str(escape),
-                 "_raw": (c.lo, t)},
-                1, 0,
-                "left-closed component away from theta: scaling x by "
-                "t < 1 lands in the gap below")
-        if c.hi is not INF and c.hi_closed:
+            x = c.lo
+            gap_end = comps[idx - 1].hi if idx > 0 else ZERO
+            detail = ("left-closed component away from theta: scaling x "
+                      "by t < 1 lands in the gap below")
+        elif c.hi is not INF and c.hi_closed:
             if c.hi == 0:
                 return refuted(
                     {"component": c.render(), "x": "0",
@@ -368,19 +362,20 @@ def audit_generator(G: IntervalUnion) -> CheckOutcome:
                     "degenerate component {0}: an open neighborhood of "
                     "theta compatible with the action must have the "
                     "form [0,a) with a > 0")
-            above = G.components[idx + 1].lo \
-                if idx + 1 < len(G.components) else 2 * c.hi
-            t = (c.hi + above) / (2 * c.hi)
-            escape = t * c.hi
-            if G.member(escape):
-                raise AssertionError("gap point unexpectedly inside")
-            return refuted(
-                {"component": c.render(), "x": rat_str(c.hi),
-                 "t": rat_str(t), "escape": rat_str(escape),
-                 "_raw": (c.hi, t)},
-                1, 0,
-                "right-closed bounded component: scaling the endpoint by "
-                "t > 1 lands in the gap above")
+            x = c.hi
+            gap_end = comps[idx + 1].lo if idx + 1 < len(comps) else 2 * x
+            detail = ("right-closed bounded component: scaling the "
+                      "endpoint by t > 1 lands in the gap above")
+        else:
+            continue
+        t = (x + gap_end) / (2 * x)
+        escape = t * x
+        if G.member(escape):
+            raise AssertionError("gap point unexpectedly inside")
+        return refuted(
+            {"component": c.render(), "x": rat_str(x), "t": rat_str(t),
+             "escape": rat_str(escape), "_raw": (x, t)},
+            1, 0, detail)
     return proven("all components have open subspace form", len(G.components))
 
 

@@ -30,3 +30,33 @@ def test_the_matrix_holds_every_command():
     for g in GOLDEN])
 def test_command_output_matches_the_matrix(expected):
     assert cli_matrix.run(expected["argv"], expected.get("env")) == expected
+
+
+def test_the_tool_names_each_changed_line(tmp_path, monkeypatch, capsys):
+    golden = tmp_path / "matrix.jsonl"
+    monkeypatch.setattr(cli_matrix, "GOLDEN", str(golden))
+    monkeypatch.setattr(cli_matrix, "COMMANDS", [(["axioms"], None),
+                                                 (["morphism", "nope"], None)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def tool(*argv):
+        code = cli_matrix.main(list(argv))
+        return code, capsys.readouterr().out.splitlines()
+
+    assert tool("--write") == (0, ["['axioms']", "['morphism', 'nope']",
+                                   f"wrote 2 commands to {golden}"])
+    written = golden.read_text(encoding="utf-8")
+    assert tool() == (0, [])
+    lines = [json.loads(ln) for ln in written.splitlines()]
+    lines[0].update(exit=0, stderr="")
+    lines[1]["stdout"] = "changed\n"
+    golden.write_text("".join(json.dumps(ln, ensure_ascii=False,
+                                         sort_keys=True) + "\n"
+                              for ln in lines), encoding="utf-8")
+    assert tool() == (1, ["['axioms']: exit, stderr",
+                          "['morphism', 'nope']: stdout"])
+    golden.write_text(written.replace('"exit": 2', '"exit": 3', 1),
+                      encoding="utf-8")
+    assert tool("--write") == (0, ["['axioms']",
+                                   f"wrote 2 commands to {golden}"])
+    assert golden.read_text(encoding="utf-8") == written

@@ -1,9 +1,11 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
 from evslab import core, scalars as sc
+from evslab._backend import ONE, rat
 from evslab.core import check_axioms, check_order_morphism
 from evslab.instances import (MORPHISMS, PLANTED_FAULTS, cone_product,
                               dict_plane, half_line, make_instance,
@@ -112,6 +114,52 @@ def test_order_morphism_golden(name, verdict, tried, witness):
     rendered = {k: v for k, v in (outcome.witness or {}).items()
                 if not k.startswith("_")}
     assert rendered == witness
+
+
+def _cone1_sampling(points):
+    """cone:1 whose every sample, of any seed and count, is ``points``."""
+    E = copy.copy(cone_product(1))
+    E.sample = lambda seed, count: list(points)
+    return E
+
+
+def _graph_map():
+    # additive, but (-1).(r, (r,)) = (r, (-r,)) is not f((-1).r)
+    return lambda r: (r, (sc.scalar(r),)), half_line(), cone_product(1)
+
+
+def _second_coordinate_map():
+    # additive and homogeneous, but (0, 5) <= (1, 0) maps to 5 > 0
+    return lambda p: p[1], dict_plane(), half_line()
+
+
+def _radial_map_on_two_fibres():
+    # additive, homogeneous and monotone; (2, g) maps above 1 = f(1, e)
+    # but lies above no point of f^-1(1), since cone points compare only
+    # with the vector fixed
+    e, g = (sc.S_ZERO,), (sc.S_ONE,)
+    pool = [(ONE, e), (rat(2), e), (rat(2), g)]
+    return lambda x: x[0], _cone1_sampling(pool), half_line()
+
+
+# planted maps, one per refutation branch the shipped morphisms do not
+# reach, pinned at budget 300, seed 42
+@pytest.mark.parametrize("planted,tried,detail,witness", [
+    (_graph_map, 345, "f(a.x) != a.f(x)", {"x": "1", "alpha": "-1"}),
+    (_second_coordinate_map, 664, "x<=y but f(x) !<= f(y)",
+     {"x": "(5/4, 1)", "y": "(41/20, 3/4)"}),
+    (_radial_map_on_two_fibres, 73,
+     "y in f^-1(q) not above any found member of f^-1(p)",
+     {"p": "1", "q": "2", "y": "(2, (1))"}),
+], ids=["homogeneity", "monotonicity", "preimage-y"])
+def test_order_morphism_refutation_branches(planted, tried, detail,
+                                            witness):
+    f, E_X, E_Y = planted()
+    outcome = check_order_morphism(f, E_X, E_Y, 300, 42)
+    assert (outcome.verdict, outcome.samples_tried, outcome.detail) == \
+        ("Refuted", tried, detail)
+    assert {k: v for k, v in outcome.witness.items()
+            if not k.startswith("_")} == witness
 
 
 def test_order_morphism_calls_f_once_per_sample():

@@ -4,7 +4,8 @@ re-exports), every function and upper-case constant is reached by
 another module or named in the README's public API, which is exactly
 ``evslab.__all__``, every default of a function outside that API is
 both overridden and used by some call, no verdict rests on an
-``assert``, no decider samples, every seeded draw goes through the
+``assert``, no decider samples, one function raises the deciders'
+``ValueError("empty set")``, every seeded draw goes through the
 ``_backend`` draw helpers and ``core`` and ``setlaws`` build a Proven
 only through ``outcome.check_law``.  Every check id an instance command
 emits belongs to exactly one ``cli.CHECKS`` row, and every id of the
@@ -384,6 +385,54 @@ def test_deciders_never_sample():
     # a Proven or Refuted from a decider rests on an exact argument
     assert _sampling_deciders((SRC / "sets.py").read_text(
         encoding="utf-8")) == []
+
+
+def _raises_empty_set(node) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    return (isinstance(exc, ast.Call)
+            and getattr(exc.func, "id", None) == "ValueError"
+            and [getattr(a, "value", None) for a in exc.args] == ["empty set"])
+
+
+def _empty_set_raisers(source: str) -> list:
+    """The dotted name of each function or method whose own body raises
+    ``ValueError("empty set")``, ``<module>`` for a module-level raise."""
+    out = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if name == "<module>"
+                      else f"{name}.{child.name}")
+                continue
+            if _raises_empty_set(child) and name not in out:
+                out.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_empty_set_checker_sees_functions_and_methods():
+    src = ("class C:\n"
+           "    def balanced(self):\n"
+           "        if not self.x:\n"
+           "            raise ValueError('empty set')\n"
+           "        raise ValueError('empty set')\n"
+           "def f():\n"
+           "    def g():\n"
+           "        raise ValueError('empty set')\n"
+           "    raise ValueError('empty interval')\n"
+           "raise ValueError('empty set')\n")
+    assert _empty_set_raisers(src) == ["C.balanced", "f.g", "<module>"]
+
+
+def test_the_empty_set_rule_is_stated_once():
+    # is_balanced and is_bounded_set reject an empty set in one place,
+    # after the carrier lookup, not in each decider
+    assert [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+            for name in _empty_set_raisers(p.read_text(encoding="utf-8"))
+            ] == ["sets.require_nonempty"]
 
 
 _SLOW_DRAWS = ("randint", "randrange", "choice")

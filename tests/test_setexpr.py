@@ -48,8 +48,9 @@ def test_parse_lattice_family():
     assert parse_set_expression("ALL", "lattice2").is_all()
     cof = parse_set_expression("ALL\\{span(1,0)}", "lattice2")
     assert not cof.member(line(1, 0)) and cof.member(line(0, 1))
-    rt = parse_set_expression(fam.render(), "lattice2")
-    assert rt == fam
+    assert cof.render() == "ALL\\{span(1,0)}"
+    for value in (fam, cof):
+        assert parse_set_expression(value.render(), "lattice2") == value
 
 
 def test_error_offsets():
@@ -59,6 +60,17 @@ def test_error_offsets():
     with pytest.raises(SetExprError) as e:
         parse_set_expression("[-1,2)")
     assert e.value.offset == 1  # the negative endpoint
+    for text, kind, message, offset in [
+            ("[0 1)", "halfline", "expected ','", 3),
+            ("[0,1) U 2,3)", "halfline",
+             "expected '[' or '(' starting a piece", 8),
+            ("[0,-1)", "halfline", "right endpoint must be >= 0", 3),
+            ("{zero,line}", "lattice2",
+             "expected 'zero', 'full' or 'span(p/q,r/s)'", 6)]:
+        with pytest.raises(SetExprError) as e:
+            parse_set_expression(text, kind)
+        assert (str(e.value), e.value.offset) == \
+            (f"{message} (at offset {offset})", offset)
 
 
 def test_domain_errors():

@@ -18,9 +18,9 @@ from evslab.sets import (ALL_SUBSPACES, INF, AnchoredBoxUnion, Box, Interval,
                          brute_balanced_violation, interval_union, iu,
                          iu_down, iu_intersect, iu_minkowski, iu_scale,
                          iu_subset, iu_translate, iu_union, iu_up, ival,
-                         is_absorbing, is_balanced, lattice_family,
-                         lattice_scale, random_interval_union, set_member,
-                         set_with_point)
+                         is_absorbing, is_balanced, random_interval_union,
+                         scale_set, set_member, set_with_point)
+from evslab.setexpr import parse_set_expression
 
 
 # ------------------------------------------------------- canonicalization
@@ -94,7 +94,7 @@ def _carrier_values():
         (box_union([box(1, 2), box(2, 1, True)]),
          AnchoredBoxUnion((Box(rat(1), False, rat(2), False),
                            Box(rat(2), False, rat(1), True)))),
-        (lattice_family(S.FINITE, [ZERO_SUBSPACE, line(1, 2)]),
+        (parse_set_expression("{zero,span(1,2)}", "lattice2"),
          S.LatticeFamily(S.FINITE, frozenset({ZERO_SUBSPACE, line(1, 2)}))),
         (S.ball(2), ball),
         (S.product_slice((S._iu(comps), S.ball(2))),
@@ -290,22 +290,22 @@ def test_box_membership_and_scale():
     u = box_union([box(2, 3)])
     assert u.member((rat(1), rat(2)))
     assert not u.member((rat(2), rat(0)))
-    assert S.box_scale(rat(2), u) == box_union([box(4, 6)])
-    assert S.box_scale(rat(0), u) == box_union(
+    assert scale_set(sc.scalar(2), u) == box_union([box(4, 6)])
+    assert scale_set(sc.S_ZERO, u) == box_union(
         [Box(S.ZERO, True, S.ZERO, True)])
 
 
 # ---------------------------------------------------------------- lattice
 
 def test_lattice_family_scale_and_up_down():
-    fam = lattice_family(S.FINITE, [line(1, 0), FULL_SUBSPACE])
-    assert lattice_scale(sc.scalar(7), fam) == fam
-    assert lattice_scale(sc.S_ZERO, fam) == \
-        lattice_family(S.FINITE, [ZERO_SUBSPACE])
+    fam = S.LatticeFamily(S.FINITE, frozenset({line(1, 0), FULL_SUBSPACE}))
+    assert scale_set(sc.scalar(7), fam) == fam
+    assert scale_set(sc.S_ZERO, fam) == \
+        S.LatticeFamily(S.FINITE, frozenset({ZERO_SUBSPACE}))
 
 
 def test_cofinite_family():
-    fam = lattice_family(S.COFINITE, [line(1, 1)])
+    fam = S.LatticeFamily(S.COFINITE, frozenset({line(1, 1)}))
     assert fam.member(ZERO_SUBSPACE) and not fam.member(line(1, 1))
 
 
@@ -331,9 +331,29 @@ def test_absorbing_decider_examples():
     assert is_absorbing(iu((0, 0, True, True))).refuted
 
 
+_BOUNDED = partial(topology.is_bounded_set, seed=0)
+
+
 def test_deciders_reject_empty_balanced():
-    with pytest.raises(ValueError):
-        is_balanced(S.EMPTY_IU)
+    # every carrier with a balanced or bounded decider, and a slice whose
+    # only piece has an empty vector set
+    for decide, empty in [
+            (is_balanced, S.EMPTY_IU), (is_balanced, box_union([])),
+            (is_balanced, S.LatticeFamily(S.FINITE, frozenset())),
+            (is_balanced, S.product_slice()),
+            (is_balanced, S.product_slice((iu((0, 1)), S.finite_vectors()))),
+            (_BOUNDED, S.EMPTY_IU), (_BOUNDED, S.product_slice())]:
+        with pytest.raises(ValueError, match="^empty set$"):
+            decide(empty)
+
+
+@pytest.mark.parametrize("decide", [is_balanced, _BOUNDED])
+@pytest.mark.parametrize("value", [
+    object(), S.ProductCylinder((S.EMPTY_IU, None))])
+def test_balanced_and_bounded_look_up_the_carrier_first(decide, value):
+    # a value with no such decider is a TypeError, even an empty one
+    with pytest.raises(TypeError):
+        decide(value)
 
 
 def test_box_deciders():
@@ -343,9 +363,11 @@ def test_box_deciders():
 
 
 def test_lattice_deciders():
-    with_zero = lattice_family(S.FINITE, [ZERO_SUBSPACE, line(1, 0)])
+    with_zero = S.LatticeFamily(S.FINITE,
+                                frozenset({ZERO_SUBSPACE, line(1, 0)}))
     assert is_balanced(with_zero).proven
-    assert is_balanced(lattice_family(S.FINITE, [line(1, 0)])).refuted
+    assert is_balanced(
+        S.LatticeFamily(S.FINITE, frozenset({line(1, 0)}))).refuted
     assert is_absorbing(ALL_SUBSPACES).proven
     assert is_absorbing(with_zero).refuted
 

@@ -14,8 +14,10 @@ at.  The ``--input`` files are under ``tests/golden/cli-input/``.
 may change freely.
 
 A change that alters any of these bytes regenerates the file with
-``--write`` and lists the changed lines.  Without ``--write`` the tool
-prints the argv of every line that differs and exits 1 if any does.
+``--write``, which prints the argv of every line it changed, and lists
+those lines.  Without ``--write`` the tool prints the argv of every line
+that differs, with the fields that differ (``exit``, ``stderr``,
+``stdout``), and exits 1 if any does.
 Standard library only; ``src`` and ``tests`` (for its in-process runner,
 ``tests/cli_runner.py``) are put on ``sys.path``.
 """
@@ -140,6 +142,20 @@ def run(argv, env=None) -> dict:
     return line
 
 
+def _changed(lines, golden) -> list:
+    """``(argv, fields)`` for each command whose line in ``lines`` is not
+    the line at its place in ``golden``; ``fields`` are the keys whose
+    values differ, every key where ``golden`` has no such line."""
+    out = []
+    for i, ((argv, _), line) in enumerate(zip(COMMANDS, lines)):
+        old = golden[i] if i < len(golden) else "{}"
+        if line != old:
+            new, old = json.loads(line), json.loads(old)
+            out.append((argv, sorted(k for k in new.keys() | old.keys()
+                                     if new.get(k) != old.get(k))))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--write", action="store_true",
@@ -148,20 +164,23 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     lines = [json.dumps(run(argv, env), ensure_ascii=False, sort_keys=True)
              for argv, env in COMMANDS]
+    golden = []
+    if not opts.write or os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = fh.read().splitlines()
     if opts.write:
         with open(GOLDEN, "w", encoding="utf-8") as fh:
             fh.write("".join(ln + "\n" for ln in lines))
+        for argv, _ in _changed(lines, golden):
+            print(argv)
         print(f"wrote {len(lines)} commands to {GOLDEN}")
         return 0
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = fh.read().splitlines()
     if len(golden) != len(lines):
         print(f"{len(golden)} golden lines for {len(lines)} commands")
         return 1
-    differ = [argv for (argv, _), new, old in zip(COMMANDS, lines, golden)
-              if new != old]
-    for argv in differ:
-        print(argv)
+    differ = _changed(lines, golden)
+    for argv, fields in differ:
+        print(f"{argv}: {', '.join(fields)}")
     return 1 if differ else 0
 
 
