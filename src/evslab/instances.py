@@ -374,11 +374,17 @@ MORPHISMS = {
 
 # -------------------------------------------------------------- registry
 
+# products may nest this deep in a spec; the recursive builders and
+# checkers exhaust Python's stack from a few hundred levels
+MAX_PRODUCT_NESTING = 32
+
+
 def make_instance(spec: str) -> EvsDescriptor:
     """Build a descriptor from a CLI instance spec.
 
     ``halfline``, ``cone:n``, ``twisted:n``, ``dict2``, ``lattice2`` and
-    ``product:(spec,spec,...)``.
+    ``product:(spec,spec,...)``, nested at most ``MAX_PRODUCT_NESTING``
+    levels deep.
     """
     spec = spec.strip()
     if spec in PLANTED_FAULTS:
@@ -414,6 +420,9 @@ def _split_product(body: str):
             continue
         if ch == "(":
             depth += 1
+            if depth >= MAX_PRODUCT_NESTING:
+                raise ValueError("bad instance spec: products nest at most "
+                                 f"{MAX_PRODUCT_NESTING} levels deep")
         elif ch == ")":
             depth -= 1
         cur += ch

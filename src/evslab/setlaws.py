@@ -51,90 +51,64 @@ def _random_corpus(budget: int, seed: int, pred) -> list:
 def check_absorbing_closure_laws(E: EvsDescriptor, budget: int,
                                  seed: int) -> dict:
     """Laws (i)-(v) for absorbing sets on random interval unions."""
-    from . import sets as st
-
-    _require_interval_support(E)
-    n = max(4, budget // 10)
-    absorbing = _random_corpus(n, subseed(seed, "abs:gen"),
-                               lambda A: st.is_absorbing(A).proven)
-    anything = _random_corpus(n, subseed(seed, "abs:any"), lambda A: True)
-    partners = absorbing[:PAIR_CAP]
-    extras = anything[:PAIR_CAP]
-    lams = [l for l in sc.sample_scalars(rat(3), 8, subseed(seed, "abs:lam"))
-            if not l.is_zero()]
-    law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
-    return {
-        # (i) theta membership
-        "absorbing.i": law(
-            ((A,) for A in absorbing), lambda A: A.contains_zero(),
-            rendered("set"), "absorbing set without theta"),
-        # (ii) finite intersections
-        "absorbing.ii": law(
-            ((A, B, st.iu_intersect(A, B))
-             for A in absorbing for B in partners),
-            lambda A, B, C: not C.is_empty() and st.is_absorbing(C).proven,
-            rendered("A", "B", "A&B"),
-            "intersection of absorbing sets not absorbing"),
-        # (iii) supersets / unions
-        "absorbing.iii": law(
-            ((A, B, st.iu_union(A, B)) for A in absorbing for B in extras),
-            lambda A, B, C: st.is_absorbing(C).proven,
-            rendered("A", "B", "AuB"),
-            "superset of an absorbing set not absorbing"),
-        # (iv) up/down stability
-        "absorbing.iv": law(
-            ((A, img) for A in absorbing
-             for img in (st.iu_up(A), st.iu_down(A))),
-            lambda A, img: st.is_absorbing(img).proven,
-            rendered("A", "image"),
-            "up/down image of an absorbing set not absorbing"),
-        # (v) nonzero scaling
-        "absorbing.v": law(
-            ((A, lam, st.scale_set(lam, A))
-             for A in absorbing for lam in lams),
-            lambda A, lam, C: st.is_absorbing(C).proven,
-            rendered("A", "lambda", "lamA"),
-            "nonzero scaling of an absorbing set not absorbing"),
-    }
+    return _closure_laws(E, budget, seed, "absorbing", "an", "abs", 3, True)
 
 
 def check_balanced_closure_laws(E: EvsDescriptor, budget: int,
                                 seed: int) -> dict:
     """Laws (i)-(v) for balanced sets, with |lambda| arbitrary in (v)."""
+    return _closure_laws(E, budget, seed, "balanced", "a", "bal", 4, False)
+
+
+def _closure_laws(E: EvsDescriptor, budget: int, seed: int, prop: str,
+                  article: str, tag: str, radius: int, upward: bool) -> dict:
+    """Rows ``<prop>.i``-``.v`` on random interval unions that
+    ``sets.is_<prop>`` proves, looked up here so that a rebound decider
+    is the one called: each holds theta (i), so their intersections,
+    unions, up/down images and scalings (|lambda| <= ``radius``) must be
+    nonempty and have ``prop`` (ii)-(v).  An ``upward`` property holds
+    for every superset and nonzero scaling, so its (iii) joins a corpus
+    set with any set and its (v) skips 0.  ``tag`` names the subseeds."""
     from . import sets as st
 
     _require_interval_support(E)
+    decide = getattr(st, "is_" + prop)
     n = max(4, budget // 10)
-    balanced = _random_corpus(n, subseed(seed, "bal:gen"),
-                              lambda A: st.is_balanced(A).proven)
-    partners = balanced[:PAIR_CAP]
-    lams = sc.sample_scalars(rat(4), 8, subseed(seed, "bal:lam"))
+    corpus = _random_corpus(n, subseed(seed, f"{tag}:gen"),
+                            lambda A: decide(A).proven)
+    partners = extras = corpus[:PAIR_CAP]
+    lams = sc.sample_scalars(rat(radius), 8, subseed(seed, f"{tag}:lam"))
+    one = f"{article} {prop} set"
+    union, scaling = f"union of {prop} sets", f"scaling of {one}"
+    if upward:
+        extras = _random_corpus(min(n, PAIR_CAP), subseed(seed, f"{tag}:any"),
+                                lambda A: True)
+        lams = [lam for lam in lams if not lam.is_zero()]
+        union, scaling = f"superset of {one}", f"nonzero {scaling}"
+    rows = (
+        ("ii", ((A, B, st.iu_intersect(A, B))
+                for A in corpus for B in partners),
+         ("A", "B", "A&B"), f"intersection of {prop} sets"),
+        ("iii", ((A, B, st.iu_union(A, B)) for A in corpus for B in extras),
+         ("A", "B", "AuB"), union),
+        ("iv", ((A, img) for A in corpus
+                for img in (st.iu_up(A), st.iu_down(A))),
+         ("A", "image"), f"up/down image of {one}"),
+        ("v", ((A, lam, st.scale_set(lam, A))
+               for A in corpus for lam in lams),
+         ("A", "lambda", "lamA"), scaling),
+    )
+
+    def has_prop(*case) -> bool:
+        return not case[-1].is_empty() and decide(case[-1]).proven
+
     law = partial(check_law, seed=seed, proven_detail=_CLOSURE_PROVEN)
     return {
-        "balanced.i": law(
-            ((A,) for A in balanced), lambda A: A.contains_zero(),
-            rendered("set"), "balanced set without theta"),
-        "balanced.ii": law(
-            ((A, B, st.iu_intersect(A, B))
-             for A in balanced for B in partners),
-            lambda A, B, C: C.is_empty() or st.is_balanced(C).proven,
-            rendered("A", "B", "A&B"),
-            "intersection of balanced sets not balanced"),
-        "balanced.iii": law(
-            ((A, B, st.iu_union(A, B)) for A in balanced for B in partners),
-            lambda A, B, C: st.is_balanced(C).proven,
-            rendered("A", "B", "AuB"), "union of balanced sets not balanced"),
-        "balanced.iv": law(
-            ((A, img) for A in balanced
-             for img in (st.iu_up(A), st.iu_down(A))),
-            lambda A, img: st.is_balanced(img).proven,
-            rendered("A", "image"),
-            "up/down image of a balanced set not balanced"),
-        "balanced.v": law(
-            ((A, lam, st.scale_set(lam, A)) for A in balanced for lam in lams),
-            lambda A, lam, C: not C.is_empty() and st.is_balanced(C).proven,
-            rendered("A", "lambda", "lamA"),
-            "scaling of a balanced set not balanced"),
+        f"{prop}.i": law(((A,) for A in corpus), lambda A: A.contains_zero(),
+                         rendered("set"), f"{prop} set without theta"),
+        **{f"{prop}.{row}": law(cases, has_prop, rendered(*keys),
+                                f"{detail} not {prop}")
+           for row, cases, keys, detail in rows},
     }
 
 

@@ -741,9 +741,7 @@ class ProductSlice(_Frozen):
         vector ``None`` in ``_raw`` and ``0`` in ``x`` when that piece
         is a ball.  Otherwise Unfalsified."""
         pieces = self._nonempty_pieces()
-        if all(reg.kind == BALL and len(iupart.components) == 1
-               and iupart.components[0].lo == 0
-               and iupart.components[0].lo_closed
+        if all(reg.kind == BALL and iupart.balanced().proven
                for iupart, reg in pieces):
             return proven("every piece is [0,s)-style x ball")
         if not any(iupart.contains_zero() and (reg.kind == BALL or any(

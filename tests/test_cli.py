@@ -299,6 +299,33 @@ def test_bad_spec_message_names_the_spec(runner, spec, form):
     assert form in res.output
 
 
+# the deepest product:(...) nesting a spec may have, as the README states
+MAX_PRODUCT_NESTING = 32
+
+
+def _nested_product(depth):
+    return "product:(" * depth + "halfline" + ")" * depth
+
+
+def test_all_runs_at_the_deepest_product_nesting(runner):
+    res = runner.invoke(main, ["all", _nested_product(MAX_PRODUCT_NESTING),
+                               "--budget", "20", "--format", "jsonlines"])
+    assert res.exit_code in (0, 1), res.output
+    records = _strip_elapsed(res.stdout)
+    assert records and all(r["verdict"] in ("Proven", "Refuted",
+                                            "Unfalsified") for r in records)
+
+
+@pytest.mark.parametrize("depth", [MAX_PRODUCT_NESTING + 1, 1200])
+def test_deeper_product_nesting_is_a_usage_error(runner, depth):
+    # 1200 levels used to end in a RecursionError traceback
+    res = runner.invoke(main, ["all", _nested_product(depth)])
+    assert res.exit_code == 2
+    assert f"products nest at most {MAX_PRODUCT_NESTING} levels deep" in \
+        res.stderr
+    assert "Traceback" not in res.output
+
+
 GOLDEN_ALL = Path(__file__).resolve().parent / "golden" / "all-b200-s7.jsonl"
 SHIPPED_SPECS = ("halfline", "cone:2", "twisted:2", "dict2", "lattice2",
                  "product:(halfline,dict2)")

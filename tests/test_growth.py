@@ -10,6 +10,7 @@ budget 1, with the parser and the per-set deciders counted as well.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -32,12 +33,20 @@ SPECS = ("halfline", "cone:2", "twisted:2", "dict2", "lattice2",
 
 class _Counter:
     """Counts every call into the kernel and deciders of ``sets`` and
-    into the descriptors handed to ``descriptor``."""
+    into the descriptors handed to ``descriptor``.  A kernel function is
+    rebound wherever a loaded evslab module holds it, so a call made
+    through a from-import (``topology.interval_union``) counts too."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        modules = [mod for name, mod in list(sys.modules.items())
+                   if name.split(".")[0] == "evslab" and mod is not None]
         for name in KERNEL:
-            monkeypatch.setattr(st, name, self.wrap(getattr(st, name)))
+            real = getattr(st, name)
+            counted = self.wrap(real)
+            for mod in modules:
+                if vars(mod).get(name) is real:
+                    monkeypatch.setattr(mod, name, counted)
 
     def wrap(self, real):
         def counted(*args, **kwargs):
@@ -124,6 +133,14 @@ def test_gate_fails_a_planted_quadratic_driver(monkeypatch):
     counts = _Counter(monkeypatch).growth(quadratic, 200)
     with pytest.raises(AssertionError):
         _assert_linear(counts)
+
+
+def test_the_counter_sees_calls_through_a_from_import(monkeypatch):
+    # topology binds interval_union with ``from .sets import``
+    A = st.iu((0, 1), (2, 3, False, False))
+    count = _Counter(monkeypatch)
+    topology._make_compact(A)
+    assert count.calls == 1
 
 
 def _random_sets(count):

@@ -10,7 +10,7 @@ from evslab._backend import Rat, rat
 from evslab.core import product_evs
 from evslab.instances import MORPHISMS, OrderIso, cone_product, dict_plane, \
     half_line, make_instance, subspace_lattice
-from evslab.outcome import refuted
+from evslab.outcome import proven, refuted
 from evslab.setlaws import (check_absorbing_closure_laws,
                             check_absorbing_transport,
                             check_balanced_closure_laws, check_radial,
@@ -246,6 +246,84 @@ def test_refuted_laws_report_witness_and_position(monkeypatch):
         assert out.refuted, law_id
         assert (out.samples_tried, out.detail, out.witness, out.seed) == \
             (position, detail, witness, 7), law_id
+
+
+def _prove_without_theta(real):
+    """The exact decider, except that a set without theta is proven."""
+    def decider(A, *args, **kwargs):
+        if not A.contains_zero():
+            return proven("planted")
+        return real(A, *args, **kwargs)
+    return decider
+
+
+def _returning(value):
+    """A planted construction that returns ``value`` on every call."""
+    return lambda real: lambda *args: value
+
+
+_FIXED = _returning(st.iu((1, 2)))
+_EMPTY = _returning(st.EMPTY_IU)
+
+# (row, the planted function of ``sets``, its stand-in, (samples_tried,
+# detail, witness)); the last three plant an empty construction, which
+# the balanced driver once said Proven on (ii) and raised on (iii, iv)
+_CLOSURE_REFUTED = [
+    ("absorbing.i", "is_absorbing", _prove_without_theta, (
+        2, "absorbing set without theta", {"set": "(1/2,1] U (3,19/6)"})),
+    ("absorbing.ii", "iu_intersect", _FIXED, (
+        1, "intersection of absorbing sets not absorbing",
+        {"A": "[0,inf)", "B": "[0,inf)", "A&B": "[1,2)"})),
+    ("absorbing.iii", "iu_union", _FIXED, (
+        1, "superset of an absorbing set not absorbing",
+        {"A": "[0,inf)", "B": "[0,inf)", "AuB": "[1,2)"})),
+    ("absorbing.iv", "iu_up", _FIXED, (
+        1, "up/down image of an absorbing set not absorbing",
+        {"A": "[0,inf)", "image": "[1,2)"})),
+    ("absorbing.v", "scale_set", _FIXED, (
+        1, "nonzero scaling of an absorbing set not absorbing",
+        {"A": "[0,inf)", "lambda": "3", "lamA": "[1,2)"})),
+    ("balanced.i", "is_balanced", _prove_without_theta, (
+        1, "balanced set without theta", {"set": "[7,43/5)"})),
+    ("balanced.ii", "iu_intersect", _FIXED, (
+        1, "intersection of balanced sets not balanced",
+        {"A": "[0,2)", "B": "[0,2)", "A&B": "[1,2)"})),
+    ("balanced.iii", "iu_union", _FIXED, (
+        1, "union of balanced sets not balanced",
+        {"A": "[0,2)", "B": "[0,2)", "AuB": "[1,2)"})),
+    ("balanced.iv", "iu_up", _FIXED, (
+        1, "up/down image of a balanced set not balanced",
+        {"A": "[0,2)", "image": "[1,2)"})),
+    ("balanced.v", "scale_set", _FIXED, (
+        1, "scaling of a balanced set not balanced",
+        {"A": "[0,2)", "lambda": "0", "lamA": "[1,2)"})),
+    ("balanced.ii", "iu_intersect", _EMPTY, (
+        1, "intersection of balanced sets not balanced",
+        {"A": "[0,2)", "B": "[0,2)", "A&B": "{}"})),
+    ("balanced.iii", "iu_union", _EMPTY, (
+        1, "union of balanced sets not balanced",
+        {"A": "[0,2)", "B": "[0,2)", "AuB": "{}"})),
+    ("balanced.iv", "iu_down", _EMPTY, (
+        2, "up/down image of a balanced set not balanced",
+        {"A": "[0,2)", "image": "{}"})),
+]
+
+
+@pytest.mark.parametrize(
+    "row, name, stand_in, expected", _CLOSURE_REFUTED,
+    ids=[row + ("-empty" if stand_in is _EMPTY else "")
+         for row, _, stand_in, _ in _CLOSURE_REFUTED])
+def test_every_closure_row_reports_its_refutation(monkeypatch, row, name,
+                                                  stand_in, expected):
+    # a planted decider or construction drives each row to Refuted;
+    # samples_tried is the 1-based position of the witness case
+    monkeypatch.setattr(st, name, stand_in(getattr(st, name)))
+    driver = check_absorbing_closure_laws if row.startswith("absorbing") \
+        else check_balanced_closure_laws
+    out = driver(half_line(), 200, 7)[row]
+    assert out.refuted
+    assert (out.samples_tried, out.detail, out.witness, out.seed) == \
+        (*expected, 7)
 
 
 def _radius(A):

@@ -54,6 +54,8 @@ def _commands():
         ["radial", "lattice2"],
         ["radial", "lattice2", "--findings-ok"],
         ["morphism", "doubling", "--budget", "50"],
+        # closure-law corpora larger than PAIR_CAP (40) sets
+        ["sets", "halfline", "--budget", "1000", "--seed", "7", *JSON],
         # the --input paths
         ["sets", "halfline", "--input", INPUT + "halfline-sets.txt",
          *SEEDED, *JSON],
@@ -76,6 +78,7 @@ def _commands():
         ["all", "nosuch"],
         ["all", "cone:abc"],
         ["all", "product:()"],
+        ["all", "product:(" * 33 + "halfline" + ")" * 33],
         ["all", "halfline", "--budget", "0"],
         ["all", "halfline", "--budget", "x"],
         ["all", "halfline", "--seed", "x"],
