@@ -10,13 +10,12 @@ reported for laws an instance has flagged as exactly verified.
 """
 
 import random
-from itertools import product, starmap
+from itertools import permutations, product, starmap
 from operator import add, mul
 from typing import Callable, Sequence
 
 from . import scalars as sc
-from .outcome import (CheckOutcome, check_law, per_variable_budget, refuted,
-                      subseed, unfalsified)
+from .outcome import CheckOutcome, check_law, per_variable_budget, subseed
 
 AXIOM_IDS = (
     "A1.assoc", "A1.comm", "A1.id",
@@ -255,7 +254,9 @@ def check_primitive_scaling(E: EvsDescriptor, budget: int,
 
 def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
                          budget: int, seed: int) -> CheckOutcome:
-    """Additivity, homogeneity, monotonicity and the preimage conditions."""
+    """Additivity, homogeneity, monotonicity and the preimage conditions:
+    one ``check_law`` run over the four passes in that order, each case
+    led by its clause ``(holds, witness, detail)``."""
     n = per_variable_budget(budget, 2)
     xs = E_X.sample(subseed(seed, "x"), n)
     ys = E_X.sample(subseed(seed, "y"), n)
@@ -266,69 +267,56 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
     # f is called once per sample, not once per partner
     fxs = [f(x) for x in xs]
     fys = [f(y) for y in ys]
-    tried = 0
-    for x, fx in zip(xs, fxs):
-        for y, fy in zip(ys, fys):
-            tried += 1
-            if not E_Y.eq(f(E_X.add(x, y)), E_Y.add(fx, fy)):
-                return refuted(_wit(E_X, "x", "y")(x, y), tried, seed,
-                               "f(x+y) != f(x)+f(y)")
-    for x, fx in zip(xs, fxs):
-        for a in alphas:
-            tried += 1
-            if not E_Y.eq(f(E_X.scale(a, x)), E_Y.scale(a, fx)):
-                return refuted(_wit(E_X, "x", "alpha")(x, a), tried, seed,
-                               "f(a.x) != a.f(x)")
-    for x, y in E_X.comparable_pairs(subseed(seed, "pairs"), n):
-        tried += 1
-        if not E_Y.leq(f(x), f(y)):
-            return refuted(_wit(E_X, "x", "y")(x, y), tried, seed,
-                           "x<=y but f(x) !<= f(y)")
-    # preimage conditions on sampled pools
-    pool = E_X.sample(subseed(seed, "pool"), 2 * n)
-    images = [f(x) for x in pool]
-    # equal images form one class, whose sampled preimage is built once
-    reps, pre, cls = [], [], []
-    for x, fx in zip(pool, images):
-        for c, r in enumerate(reps):
-            if E_Y.eq(fx, r):
-                break
-        else:
-            c = len(reps)
-            reps.append(fx)
-            pre.append([])
-        pre[c].append(x)
-        cls.append(c)
-    # samples a pair of classes adds once it has passed, 0 if not ordered
-    settled = {}
-    for i, p in enumerate(images):
-        for j, q in enumerate(images):
-            if i == j:
-                continue
-            key = cls[i], cls[j]
-            if key in settled:
-                tried += settled[key]
-                continue
-            pre_p, pre_q = pre[key[0]], pre[key[1]]
-            if not E_Y.leq(p, q):
-                settled[key] = 0
-                continue
-            for x in pre_p:
-                tried += 1
-                if not any(E_X.leq(x, y) for y in pre_q):
-                    return refuted(
-                        {"p": E_Y.render(p), "q": E_Y.render(q),
-                         "x": E_X.render(x)}, tried, seed,
-                        "x in f^-1(p) not below any found member of f^-1(q)")
-            for y in pre_q:
-                tried += 1
-                if not any(E_X.leq(x, y) for x in pre_p):
-                    return refuted(
-                        {"p": E_Y.render(p), "q": E_Y.render(q),
-                         "y": E_X.render(y)}, tried, seed,
-                        "y in f^-1(q) not above any found member of f^-1(p)")
-            settled[key] = len(pre_p) + len(pre_q)
-    return unfalsified(tried, seed)
+
+    def preimage_wit(key):
+        return lambda p, q, z, _: {"p": E_Y.render(p), "q": E_Y.render(q),
+                                   key: E_X.render(z)}
+
+    additive = (lambda x, y, fx, fy: E_Y.eq(f(E_X.add(x, y)),
+                                            E_Y.add(fx, fy)),
+                _wit(E_X, "x", "y"), "f(x+y) != f(x)+f(y)")
+    homogeneous = (lambda x, a, fx: E_Y.eq(f(E_X.scale(a, x)),
+                                           E_Y.scale(a, fx)),
+                   _wit(E_X, "x", "alpha"), "f(a.x) != a.f(x)")
+    monotone = (lambda x, y: E_Y.leq(f(x), f(y)), _wit(E_X, "x", "y"),
+                "x<=y but f(x) !<= f(y)")
+    below = (lambda p, q, x, pre_q: any(E_X.leq(x, y) for y in pre_q),
+             preimage_wit("x"),
+             "x in f^-1(p) not below any found member of f^-1(q)")
+    above = (lambda p, q, y, pre_p: any(E_X.leq(x, y) for x in pre_p),
+             preimage_wit("y"),
+             "y in f^-1(q) not above any found member of f^-1(p)")
+
+    def cases():
+        for x, fx in zip(xs, fxs):
+            for y, fy in zip(ys, fys):
+                yield additive, x, y, fx, fy
+        for x, fx in zip(xs, fxs):
+            for a in alphas:
+                yield homogeneous, x, a, fx
+        for x, y in E_X.comparable_pairs(subseed(seed, "pairs"), n):
+            yield monotone, x, y
+        # preimage conditions on a sampled pool: equal images form one
+        # class, whose sampled preimage is built once
+        classes = []
+        for x in E_X.sample(subseed(seed, "pool"), 2 * n):
+            fx = f(x)
+            for image, members in classes:
+                if E_Y.eq(fx, image):
+                    members.append(x)
+                    break
+            else:
+                classes.append((fx, [x]))
+        # each ordered pair of distinct classes once; a class paired with
+        # itself cannot fail under reflexive orders
+        for (p, pre_p), (q, pre_q) in permutations(classes, 2):
+            if E_Y.leq(p, q):
+                yield from ((below, p, q, x, pre_q) for x in pre_p)
+                yield from ((above, p, q, y, pre_p) for y in pre_q)
+
+    return check_law(cases(), lambda law, *case: law[0](*case),
+                     lambda law, *case: law[1](*case),
+                     lambda law, *_: law[2], seed)
 
 
 def product_evs(parts: Sequence[EvsDescriptor]) -> EvsDescriptor:

@@ -60,3 +60,17 @@ def test_the_tool_names_each_changed_line(tmp_path, monkeypatch, capsys):
     assert tool("--write") == (0, ["['axioms']",
                                    f"wrote 2 commands to {golden}"])
     assert golden.read_text(encoding="utf-8") == written
+    # a command inserted mid-list names only itself, as does its removal
+    inserted = ["nosuch", "halfline"]
+    two = cli_matrix.COMMANDS
+    monkeypatch.setattr(cli_matrix, "COMMANDS",
+                        [two[0], (inserted, None), two[1]])
+    assert tool() == (1, [f"{inserted}: no golden line"])
+    assert tool("--write") == (0, [str(inserted),
+                                   f"wrote 3 commands to {golden}"])
+    assert tool() == (0, [])
+    monkeypatch.setattr(cli_matrix, "COMMANDS", two)
+    assert tool() == (1, [f"{inserted}: no command"])
+    assert tool("--write") == (0, [str(inserted),
+                                   f"wrote 2 commands to {golden}"])
+    assert golden.read_text(encoding="utf-8") == written

@@ -465,25 +465,30 @@ def test_seeded_draws_use_the_draw_helpers(path):
     assert _slow_draws(path.read_text(encoding="utf-8")) == []
 
 
-def _proven_calls(source: str) -> list:
-    """Lines that call ``outcome.proven``: by a name imported from
-    ``outcome`` (aliases included) or as an attribute of the module."""
+def _outcome_calls(source: str, constructors: set) -> list:
+    """Lines that call one of the ``outcome`` functions named in
+    ``constructors``: by a name imported from ``outcome`` (aliases
+    included) or as an attribute of the module."""
     tree = ast.parse(source)
     names, modules = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if node.module and node.module.endswith("outcome") \
-                        and alias.name == "proven":
+                        and alias.name in constructors:
                     names.add(alias.asname or alias.name)
                 elif alias.name == "outcome":
                     modules.add(alias.asname or alias.name)
     return sorted(
         n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
         and (isinstance(n.func, ast.Name) and n.func.id in names
-             or isinstance(n.func, ast.Attribute) and n.func.attr == "proven"
+             or isinstance(n.func, ast.Attribute)
+             and n.func.attr in constructors
              and isinstance(n.func.value, ast.Name)
              and n.func.value.id in modules))
+
+
+_VERDICTS = {"proven", "refuted", "unfalsified"}
 
 
 def test_proven_call_checker_sees_names_aliases_and_attributes():
@@ -495,16 +500,32 @@ def test_proven_call_checker_sees_names_aliases_and_attributes():
            "oc.proven('b')\n"
            "ok('c')\n"
            "refuted({}, detail='d')\n"
-           "check_law(cases, holds, w, 'e', 0, proven_detail='f')\n")
-    assert _proven_calls(src) == [4, 6, 7]
-    assert _proven_calls("def proven(): pass\nproven()\n") == []
+           "check_law(cases, holds, w, 'e', 0, proven_detail='f')\n"
+           "from .outcome import unfalsified as nothing\n"
+           "oc.unfalsified(3, 0)\n"
+           "nothing(1, 0)\n"
+           "oc.refuted({})\n"
+           "y = out.refuted\n")
+    assert _outcome_calls(src, {"proven"}) == [4, 6, 7]
+    assert _outcome_calls(src, {"refuted"}) == [8, 13]
+    assert _outcome_calls(src, {"unfalsified"}) == [11, 12]
+    assert _outcome_calls(src, _VERDICTS) == [4, 6, 7, 8, 11, 12, 13]
+    assert _outcome_calls("def proven(): pass\nproven()\n", _VERDICTS) == []
 
 
 @pytest.mark.parametrize("name", ["core.py", "setlaws.py"])
 def test_law_drivers_prove_only_through_check_law(name):
     # every Proven of the axiom, law, radial and transport checkers is
     # check_law's proven_detail, the one place a Proven is built for them
-    assert _proven_calls((SRC / name).read_text(encoding="utf-8")) == []
+    assert _outcome_calls((SRC / name).read_text(encoding="utf-8"),
+                          {"proven"}) == []
+
+
+def test_core_builds_every_outcome_through_check_law():
+    # the axioms, primitive scaling and the order-morphism laws are all
+    # check_law runs, so core.py builds no verdict of its own
+    assert _outcome_calls((SRC / "core.py").read_text(encoding="utf-8"),
+                          _VERDICTS) == []
 
 
 # ------------------------------------------------------ the check registry

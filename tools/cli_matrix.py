@@ -14,10 +14,13 @@ at.  The ``--input`` files are under ``tests/golden/cli-input/``.
 may change freely.
 
 A change that alters any of these bytes regenerates the file with
-``--write``, which prints the argv of every line it changed, and lists
-those lines.  Without ``--write`` the tool prints the argv of every line
-that differs, with the fields that differ (``exit``, ``stderr``,
-``stdout``), and exits 1 if any does.
+``--write``, which prints the argv of every line it added, changed or
+removed, and lists those lines.  Without ``--write`` the tool prints the
+argv of every line that differs, with the fields that differ (``exit``,
+``stderr``, ``stdout``), of every command that has no golden line and of
+every golden line that has no command, and exits 1 if there is any.
+Golden lines are matched to commands by ``argv`` and ``env``, so a
+command inserted anywhere names only itself.
 Standard library only; ``src`` and ``tests`` (for its in-process runner,
 ``tests/cli_runner.py``) are put on ``sys.path``.
 """
@@ -146,17 +149,24 @@ def run(argv, env=None) -> dict:
 
 
 def _changed(lines, golden) -> list:
-    """``(argv, fields)`` for each command whose line in ``lines`` is not
-    the line at its place in ``golden``; ``fields`` are the keys whose
-    values differ, every key where ``golden`` has no such line."""
+    """``(argv, what)`` for each line of ``lines`` that is not the golden
+    line of the same ``argv`` and ``env``, then for each golden line that
+    no command has: ``what`` names the keys whose values differ, or the
+    side that has no line."""
+    def command(line):
+        return json.dumps([line["argv"], line.get("env")])
+
+    old = {command(g): g for g in map(json.loads, golden)}
     out = []
-    for i, ((argv, _), line) in enumerate(zip(COMMANDS, lines)):
-        old = golden[i] if i < len(golden) else "{}"
-        if line != old:
-            new, old = json.loads(line), json.loads(old)
-            out.append((argv, sorted(k for k in new.keys() | old.keys()
-                                     if new.get(k) != old.get(k))))
-    return out
+    for new in map(json.loads, lines):
+        was = old.pop(command(new), None)
+        if was is None:
+            out.append((new["argv"], "no golden line"))
+        elif new != was:
+            out.append((new["argv"], ", ".join(sorted(
+                k for k in new.keys() | was.keys()
+                if new.get(k) != was.get(k)))))
+    return out + [(g["argv"], "no command") for g in old.values()]
 
 
 def main(argv=None) -> int:
@@ -178,12 +188,9 @@ def main(argv=None) -> int:
             print(argv)
         print(f"wrote {len(lines)} commands to {GOLDEN}")
         return 0
-    if len(golden) != len(lines):
-        print(f"{len(golden)} golden lines for {len(lines)} commands")
-        return 1
     differ = _changed(lines, golden)
-    for argv, fields in differ:
-        print(f"{argv}: {', '.join(fields)}")
+    for argv, what in differ:
+        print(f"{argv}: {what}")
     return 1 if differ else 0
 
 
