@@ -269,8 +269,8 @@ def check_order_morphism(f: Callable, E_X: EvsDescriptor, E_Y: EvsDescriptor,
     fys = [f(y) for y in ys]
 
     def preimage_wit(key):
-        return lambda p, q, z, _: {"p": E_Y.render(p), "q": E_Y.render(q),
-                                   key: E_X.render(z)}
+        return lambda p, q, z, _: {**_wit(E_Y, "p", "q")(p, q),
+                                   **_wit(E_X, key)(z)}
 
     additive = (lambda x, y, fx, fy: E_Y.eq(f(E_X.add(x, y)),
                                             E_Y.add(fx, fy)),

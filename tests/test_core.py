@@ -193,6 +193,18 @@ def test_order_morphism_golden_preimage_refutation():
         "p": "0", "q": "5/4", "x": "(0, (0, 0))"}
 
 
+def test_preimage_witness_replays_from_its_raw_entries():
+    # the raw entries render to the public ones and meet the refuted
+    # clause's premises: x lies in f^-1(p) and p <= q
+    f, E_X, E_Y = _projection()
+    w = check_order_morphism(f, E_X, E_Y, 300, 42).witness
+    p, q, x = w["_raw_p"], w["_raw_q"], w["_raw_x"]
+    assert (E_Y.render(p), E_Y.render(q), E_X.render(x)) == \
+        (w["p"], w["q"], w["x"])
+    assert E_Y.eq(f(x), p)
+    assert E_Y.leq(p, q)
+
+
 def _reference_order_morphism(f, E_X, E_Y, budget, seed):
     """``check_order_morphism`` with its preimage pass as an index-pair
     loop over the pool, without classes of equal images: a pair (i, j)

@@ -348,6 +348,33 @@ def test_no_assert_statements(path):
             if isinstance(n, ast.Assert)] == []
 
 
+def _assertion_handlers(source: str) -> list:
+    """Line of every ``except`` whose type is ``AssertionError`` or a
+    tuple that names it."""
+    def names(t):
+        elts = t.elts if isinstance(t, ast.Tuple) else [t]
+        return {getattr(e, "id", getattr(e, "attr", None)) for e in elts}
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.ExceptHandler) and n.type is not None
+            and "AssertionError" in names(n.type)]
+
+
+def test_assertion_handler_checker_sees_handlers():
+    src = ("try:\n    f()\nexcept AssertionError:\n    pass\n"
+           "try:\n    f()\nexcept (ValueError, AssertionError) as e:\n"
+           "    pass\n"
+           "try:\n    f()\nexcept ValueError:\n    pass\n")
+    assert _assertion_handlers(src) == [3, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_handler_catches_assertion_error(path):
+    # a failed self-check raises AssertionError: a handler would turn a
+    # kernel fault into a verdict
+    assert _assertion_handlers(path.read_text(encoding="utf-8")) == []
+
+
 _DECIDERS = ("balanced", "absorbing", "bounded")
 
 

@@ -175,6 +175,15 @@ def test_sup_lemma_refutes_a_scaling_that_ignores_the_modulus(monkeypatch):
     assert out.detail == "scaling of a bounded set not bounded"
 
 
+def test_compact_row_refutes_a_set_that_is_not_compact(monkeypatch):
+    # compactness is a conjunct of the row, not a guard that skips the case
+    monkeypatch.setattr(tp, "_make_compact", lambda A: (iu((0, 1)), Rat(1)))
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.compact"]
+    assert out.refuted
+    assert (out.samples_tried, out.witness) == (1, {"set": "[0,1)"})
+    assert out.detail == "compact set not bounded"
+
+
 # ------------------------------------------------------------- local base
 
 def test_local_base_conditions_on_usual_base():
@@ -199,8 +208,10 @@ def test_condition_v_witness_is_seed_stable():
 
 
 @pytest.mark.parametrize("family,tried,witness", [
-    ([iu((0, 1, True, True))], 18, {"x": "11", "y": "10"}),
-    ([iu((0, 1), (5, 6))], 1, {"x": "25", "y": "23"}),
+    ([iu((0, 1, True, True))], 18,
+     {"x": "11", "y": "10", "_raw_x": Rat(11), "_raw_y": Rat(10)}),
+    ([iu((0, 1), (5, 6))], 1,
+     {"x": "25", "y": "23", "_raw_x": Rat(25), "_raw_y": Rat(23)}),
 ], ids=["closed-unit", "two-pieces"])
 def test_condition_iv_counts_pairs_up_to_the_refutation(family, tried,
                                                         witness):
@@ -210,6 +221,13 @@ def test_condition_iv_counts_pairs_up_to_the_refutation(family, tried,
     assert out.refuted
     assert (out.samples_tried, out.witness, out.seed) == (tried, witness, 7)
     assert out.detail == "no separating member pair in the family"
+
+
+def test_local_base_propagates_a_failed_halving_self_check(monkeypatch):
+    # W + W escaping U is a kernel fault, not an answer for condition (iii)
+    monkeypatch.setattr(st, "iu_minkowski", lambda A, B: iu((0, INF)))
+    with pytest.raises(AssertionError, match=r"W \+ W escaped U"):
+        check_local_base_conditions(usual_base(8), 200, 7)
 
 
 def test_local_base_rejects_bad_family():
