@@ -119,7 +119,8 @@ def check_bounded_laws(E, budget: int, seed: int) -> dict:
         ("compact", compacts,
          lambda K, top: is_compact(K) and is_bounded_set(K).proven
          and _sup(K) == top and K.member(top),
-         ("set",), "compact set not bounded",
+         ("set",), lambda K, _: ("compact set not bounded" if is_compact(K)
+                                 else "set not compact"),
          f"sup of a compact set is its last endpoint, attained; {every}"),
         ("sum", ((A, B, st.iu_minkowski(A, B))
                  for A in bounded for B in bounded[:PAIR_CAP]),
@@ -255,21 +256,20 @@ def check_local_base_conditions(family: Sequence[IntervalUnion],
         if x != y:
             pairs.append((max(x, y), min(x, y)))
     iv = check_law(
-        pairs,
-        lambda x, y: any(
-            st.iu_intersect(st.iu_up(st.iu_translate(x, family[0])),
-                            st.iu_down(st.iu_translate(y, V))).is_empty()
+        ((x, y, st.iu_up(st.iu_translate(x, family[0]))) for x, y in pairs),
+        lambda x, y, up: any(
+            st.iu_intersect(up, st.iu_down(st.iu_translate(y, V))).is_empty()
             for V in family),
-        lambda x, y: {"x": rat_str(x), "y": rat_str(y), "_raw_x": x,
-                      "_raw_y": y},
+        lambda x, y, _: {"x": rat_str(x), "y": rat_str(y), "_raw_x": x,
+                         "_raw_y": y},
         "no separating member pair in the family", seed)
     out["iv"] = iv if iv.refuted else unfalsified(
         iv.samples_tried, seed,
         "separating pair found for every sampled x > y")
 
-    # (v) scalar-continuity condition against translated members.
-    # The canonical triple is tested first so the Refuted record is
-    # identical for every seed.
+    # (v) scalar-continuity condition against translated members, decided
+    # for one canonical triple, so the Refuted record is identical for
+    # every seed.
     out["v"] = _condition_v(family, seed)
     return out
 
@@ -279,35 +279,28 @@ _EPS_GRID = tuple(Rat(1, 2 ** k) for k in range(1, 13))
 
 def _condition_v(family: Sequence[IntervalUnion],
                  seed: int) -> CheckOutcome:
-    """For (W, x, alpha): does some eps > 0 and U in the family give
-    B(alpha,eps).(x+U) inside alpha.x + W?  For x > 0 this is impossible:
-    any lambda in the disc with |lambda| < |alpha| sends x + 0 strictly
-    below alpha.x, the minimum of the target."""
+    """For (W, x, alpha) = (first member, 1, 1) no eps > 0 and U in the
+    family give B(alpha,eps).(x+U) inside alpha.x + W: for x > 0 any
+    lambda in the disc with |lambda| < |alpha| sends x + 0 strictly below
+    alpha.x, the minimum of the target.  The grid lambda = 1 - eps/2 is
+    a self-check of that inequality that raises when it fails."""
     W = family[0]
     x = ONE
     alpha = sc.S_ONE
-    tried = 0
-    grid_escapes = []
     target = st.iu_translate(sc.modulus(alpha) * x, W)
-    for eps in _EPS_GRID:
-        lam = sc.Scalar(ONE - eps / 2, ZERO)  # |lam - alpha| < eps
-        val = sc.modulus(lam) * x             # lam.(x + 0)
-        tried += 1
-        if target.member(val):
-            return unfalsified(tried, seed, "grid escape unexpectedly "
-                                            "contained")
-        grid_escapes.append((eps, lam, val))
-    eps0, lam0, val0 = grid_escapes[0]
+    lams = [sc.Scalar(ONE - eps / 2, ZERO) for eps in _EPS_GRID]
+    if any(target.member(sc.modulus(lam) * x) for lam in lams):
+        raise AssertionError("grid escape inside alpha.x + W")
     return refuted(
         {"W": W.render(), "x": rat_str(x),
          "alpha": sc.render_scalar(alpha),
-         "lambda": sc.render_scalar(lam0),
-         "escape_value": rat_str(val0),
+         "lambda": sc.render_scalar(lams[0]),
+         "escape_value": rat_str(sc.modulus(lams[0]) * x),
          "symbolic": "for every eps > 0 the disc contains lambda with "
                      "|lambda| < |alpha|, and |lambda|.x < |alpha|.x is "
                      "below min(alpha.x + W) whenever x > 0",
-         "_raw": (W, x, alpha, [e for e, _, _ in grid_escapes])},
-        tried, seed,
+         "_raw": (W, x, alpha, list(_EPS_GRID))},
+        len(_EPS_GRID), seed,
         "no eps on the grid works and the symbolic inequality rules out "
         "all eps; translate-based neighborhoods fail scalar continuity")
 

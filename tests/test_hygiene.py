@@ -6,8 +6,9 @@ another module or named in the README's public API, which is exactly
 both overridden and used by some call, no verdict rests on an
 ``assert``, no decider samples, one function raises the deciders'
 ``ValueError("empty set")``, every seeded draw goes through the
-``_backend`` draw helpers and ``core`` and ``setlaws`` build a Proven
-only through ``outcome.check_law``.  Every check id an instance command
+``_backend`` draw helpers, ``core`` and ``setlaws`` build a Proven
+only through ``outcome.check_law`` and no law outside ``outcome`` counts
+its own cases.  Every check id an instance command
 emits belongs to exactly one ``cli.CHECKS`` row, and every id of the
 README's "Paper results" table is emitted by some command.
 """
@@ -346,6 +347,72 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree)
             if isinstance(n, ast.Assert)] == []
+
+
+# the position of each verdict constructor's samples count, whose
+# keyword is ``samples``
+_SAMPLES_ARG = {"proven": 1, "refuted": 1, "unfalsified": 0}
+
+
+def _hand_counted_verdicts(name: str, source: str) -> list:
+    """Line of every ``proven``, ``refuted`` or ``unfalsified`` call whose
+    samples count (by position or as ``samples=``) is a local name that
+    the calling function increments with ``+=``: a law loop counting its
+    own cases.  ``outcome.py``, home of the one counting loop
+    ``check_law``, is exempt."""
+    if name == "outcome.py":
+        return []
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        counters = {n.target.id for n in ast.walk(fn)
+                    if isinstance(n, ast.AugAssign)
+                    and isinstance(n.op, ast.Add)
+                    and isinstance(n.target, ast.Name)}
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            pos = _SAMPLES_ARG.get(f.attr if isinstance(f, ast.Attribute)
+                                   else getattr(f, "id", None))
+            if pos is None:
+                continue
+            args = [*call.args[pos:pos + 1],
+                    *(k.value for k in call.keywords if k.arg == "samples")]
+            if any(isinstance(a, ast.Name) and a.id in counters
+                   for a in args):
+                lines.add(call.lineno)
+    return sorted(lines)
+
+
+def test_hand_count_checker_sees_counted_loops():
+    counted = ("def law(xs, seed):\n"
+               "    tried = 0\n"
+               "    for x in xs:\n"
+               "        tried += 1\n"
+               "        if x:\n"
+               "            return refuted({}, tried, seed)\n"
+               "    return oc.unfalsified(tried, seed)\n"
+               "def other(n):\n"
+               "    k = 0\n"
+               "    k += n\n"
+               "    return proven('p', samples=k)\n")
+    assert _hand_counted_verdicts("topology.py", counted) == [6, 7, 11]
+    assert _hand_counted_verdicts("outcome.py", counted) == []
+    clean = ("def law(xs, seed):\n"
+             "    total = 0\n"
+             "    total += 1\n"
+             "    return refuted({}, len(xs), seed, str(total))\n")
+    assert _hand_counted_verdicts("topology.py", clean) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_counted_law_loop(path):
+    # every law's samples count comes from check_law or a fixed size, so
+    # no loop builds its verdicts by hand
+    assert _hand_counted_verdicts(
+        path.name, path.read_text(encoding="utf-8")) == []
 
 
 def _assertion_handlers(source: str) -> list:

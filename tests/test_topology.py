@@ -10,7 +10,7 @@ from evslab import sets as st
 from evslab import topology as tp
 from evslab._backend import Rat
 from evslab.instances import half_line, make_instance
-from evslab.outcome import PAIR_CAP
+from evslab.outcome import PAIR_CAP, unfalsified
 from evslab.setexpr import parse_set_expression
 from evslab.sets import INF, iu
 from evslab.topology import (audit_generator, check_bounded_laws,
@@ -181,6 +181,15 @@ def test_compact_row_refutes_a_set_that_is_not_compact(monkeypatch):
     out = check_bounded_laws(half_line(), 200, 7)["bounded.compact"]
     assert out.refuted
     assert (out.samples_tried, out.witness) == (1, {"set": "[0,1)"})
+    assert out.detail == "set not compact"
+
+
+def test_compact_row_names_a_compact_set_found_unbounded(monkeypatch):
+    # the detail names the clause that failed: here the boundedness
+    # decider, on a case that is compact
+    monkeypatch.setattr(tp, "is_bounded_set", lambda A: unfalsified(1, 0))
+    out = check_bounded_laws(half_line(), 200, 7)["bounded.compact"]
+    assert out.refuted and out.samples_tried == 1
     assert out.detail == "compact set not bounded"
 
 
@@ -227,6 +236,15 @@ def test_local_base_propagates_a_failed_halving_self_check(monkeypatch):
     # W + W escaping U is a kernel fault, not an answer for condition (iii)
     monkeypatch.setattr(st, "iu_minkowski", lambda A, B: iu((0, INF)))
     with pytest.raises(AssertionError, match=r"W \+ W escaped U"):
+        check_local_base_conditions(usual_base(8), 200, 7)
+
+
+def test_local_base_propagates_a_failed_condition_v_self_check(monkeypatch):
+    # a translate that lands every grid value in alpha.x + W breaks the
+    # disc inequality's self-check: it raises instead of reading as a
+    # verdict
+    monkeypatch.setattr(st, "iu_translate", lambda x, A: iu((0, INF)))
+    with pytest.raises(AssertionError, match="grid escape"):
         check_local_base_conditions(usual_base(8), 200, 7)
 
 
