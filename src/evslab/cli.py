@@ -268,7 +268,7 @@ def _load_sets(input_path: Optional[str], kind: str,
         return None
     try:
         with open(input_path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
+            lines = [ln.strip(evslab.instances.ASCII_SPACE) for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {input_path}: {exc}")
     out = []

@@ -5,8 +5,9 @@ its operations, order, exact primitive structure and a seeded sampler.
 The checkers in this module quantify over sampled elements and scalars.
 The axioms A1-A6 and primitive scaling are rows over
 ``outcome.check_law``; a Refuted verdict always carries a witness, raw
-entries included, that re-evaluates to a violation, and Proven is only
-reported for laws an instance has flagged as exactly verified.
+entries included, that re-evaluates to a violation.  Proven is reported
+for the axioms an instance flags as exactly verified and for primitive
+scaling when every sampled case holds (ROADMAP item 11).
 """
 
 import random

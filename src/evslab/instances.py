@@ -378,33 +378,36 @@ MORPHISMS = {
 # checkers exhaust Python's stack from a few hundred levels
 MAX_PRODUCT_NESTING = 32
 
+# the whitespace both input grammars skip: ASCII only, so that every
+# offset into accepted text is a byte offset
+ASCII_SPACE = " \t\n\r\v\f"
+
+_NAMED = {"halfline": half_line, "dict2": dict_plane,
+          "lattice2": subspace_lattice}
+_SIZED = {"cone": cone_product, "twisted": twisted_product}
+
 
 def make_instance(spec: str) -> EvsDescriptor:
-    """Build a descriptor from a CLI instance spec.
-
-    ``halfline``, ``cone:n``, ``twisted:n``, ``dict2``, ``lattice2`` and
-    ``product:(spec,spec,...)``, nested at most ``MAX_PRODUCT_NESTING``
-    levels deep.
-    """
-    spec = spec.strip()
-    if spec in PLANTED_FAULTS:
-        return PLANTED_FAULTS[spec]()
-    if spec == "halfline":
-        return half_line()
-    if spec == "dict2":
-        return dict_plane()
-    if spec == "lattice2":
-        return subspace_lattice()
-    if spec.startswith("cone:"):
-        return cone_product(_dimension(spec))
-    if spec.startswith("twisted:"):
-        return twisted_product(_dimension(spec))
-    if spec.startswith("product:"):
-        inner = spec.split(":", 1)[1].strip()
-        parts = []
-        if inner.startswith("(") and inner.endswith(")"):
-            parts = _split_product(inner[1:-1])
-        if not parts:
+    """Build a descriptor from a CLI instance spec: a key of ``_NAMED``
+    or ``PLANTED_FAULTS``, ``<kind>:<n>`` for a kind of ``_SIZED`` and n
+    ASCII digits not starting with 0, or ``product:(spec,spec,...)`` of
+    nonempty parts, nested at most ``MAX_PRODUCT_NESTING`` levels deep.
+    A spec other than a product names what it builds."""
+    spec = spec.strip(ASCII_SPACE)
+    build = _NAMED.get(spec) or PLANTED_FAULTS.get(spec)
+    if build:
+        return build()
+    kind, colon, body = spec.partition(":")
+    if colon and kind in _SIZED:
+        if not (body.isascii() and body.isdigit() and body[0] != "0"):
+            raise ValueError(f"bad instance spec {spec!r}: expected "
+                             f"{kind}:<n> with an integer n >= 1")
+        return _SIZED[kind](int(body))
+    if colon and kind == "product":
+        parts = [""]
+        if body.startswith("(") and body.endswith(")"):
+            parts = _split_product(body[1:-1])
+        if "" in parts:
             raise ValueError(f"bad instance spec {spec!r}: expected "
                              "product:(<spec>,<spec>,...)")
         return product_evs([make_instance(p) for p in parts])
@@ -426,19 +429,4 @@ def _split_product(body: str):
         elif ch == ")":
             depth -= 1
         cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return [p.strip() for p in parts]
-
-
-def _dimension(spec: str) -> int:
-    """The n of a ``cone:<n>`` or ``twisted:<n>`` spec."""
-    kind, _, body = spec.partition(":")
-    try:
-        n = int(body)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"bad instance spec {spec!r}: expected {kind}:<n> "
-                         "with an integer n >= 1")
-    return n
+    return [p.strip(ASCII_SPACE) for p in parts + [cur]]

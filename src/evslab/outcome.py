@@ -2,7 +2,10 @@
 
 A check ends in one of three states: Proven (exact decision procedure),
 Refuted (with a witness that re-evaluates to a violation) or Unfalsified
-(sampling found nothing).  Proven never comes from sampling.
+(sampling found nothing).  Proven still rests on samples at the closure
+rows, the ``exactly_verified`` axiom rows, ``check_primitive_scaling``,
+``check_radial``, ``check_radial_product_and_hereditary`` and the
+absorbing and radial transport checks (ROADMAP item 11).
 """
 
 import hashlib

@@ -12,9 +12,9 @@ import re
 
 from . import sets as st
 from ._backend import rat_parse
-from .instances import FULL_SUBSPACE, ZERO_SUBSPACE, line
+from .instances import ASCII_SPACE, FULL_SUBSPACE, ZERO_SUBSPACE, line
 
-_RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class SetExprError(ValueError):
@@ -31,7 +31,8 @@ class _Cursor:
         self.pos = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while (self.pos < len(self.text)
+               and self.text[self.pos] in ASCII_SPACE):
             self.pos += 1
 
     def peek(self) -> str:

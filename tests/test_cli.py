@@ -144,6 +144,15 @@ def test_input_file_error_reports_line(runner, tmp_path):
     assert "bad.txt:2" in res.output
 
 
+def test_an_input_line_loses_only_ascii_whitespace(runner, tmp_path):
+    f = tmp_path / "sets.txt"
+    f.write_text(" [0,1)\t\n\u00a0[0,2)\n", encoding="utf-8")
+    res = runner.invoke(main, ["sets", "halfline", "--input", str(f)])
+    assert res.exit_code == 2
+    assert "sets.txt:2: expected '[' or '(' starting a piece " \
+        "(at offset 0)" in res.output
+
+
 @pytest.mark.parametrize("command,kind,good,empty", [
     ("sets", "halfline", "[0,1)", "[2,1)"),
     ("bounded", "halfline", "[0,1)", "[2,1)"),

@@ -10,7 +10,9 @@ both overridden and used by some call, no verdict rests on an
 only through ``outcome.check_law`` and no law outside ``outcome`` counts
 its own cases.  Every check id an instance command
 emits belongs to exactly one ``cli.CHECKS`` row, and every id of the
-README's "Paper results" table is emitted by some command.
+README's "Paper results" table is emitted by some command.  The
+README's "Instances" table lists exactly the spec kinds ``make_instance``
+builds.
 """
 
 import ast
@@ -25,7 +27,8 @@ from cli_runner import CliRunner
 
 import evslab
 from evslab import cli
-from evslab.instances import MORPHISMS, PLANTED_FAULTS, half_line
+from evslab.instances import (_NAMED, _SIZED, MORPHISMS, PLANTED_FAULTS,
+                              half_line)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "evslab"
 README = SRC.parent.parent / "README.md"
@@ -710,3 +713,15 @@ def test_paper_result_ids_are_emitted_and_registered(tmp_path, claims):
     assert sorted(ids - suites.keys()) == []
     assert [c for c in ids if suites[c] not in ("morphism", "audit")
             and len(_rows_of(c, claims)) != 1] == []
+
+
+def _spec_kinds(readme: str) -> set:
+    """The kind of each row of the README's "Instances" table: its spec
+    column up to the first ``:``."""
+    section = readme.partition("\n## Instances\n")[2].partition("\n## ")[0]
+    return {m[1] for m in re.finditer(r"^\| `(\w+)", section, re.M)}
+
+
+def test_the_readme_lists_every_spec_kind():
+    assert _spec_kinds(README.read_text(encoding="utf-8")) == {
+        *_NAMED, *_SIZED, "product"}

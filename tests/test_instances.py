@@ -3,6 +3,7 @@ the exactly-verified flags of the half line and the dictionary plane."""
 
 import hashlib
 import random
+import re
 
 import pytest
 import sympy
@@ -10,9 +11,9 @@ import sympy
 from evslab import scalars as sc
 from evslab import sets as st
 from evslab._backend import Rat, rat
-from evslab.instances import (FULL_SUBSPACE, ZERO_SUBSPACE, dict_plane,
-                              half_line, line, make_instance, span_join,
-                              subspace_leq, subspace_lattice)
+from evslab.instances import (FULL_SUBSPACE, PLANTED_FAULTS, ZERO_SUBSPACE,
+                              dict_plane, half_line, line, make_instance,
+                              span_join, subspace_leq, subspace_lattice)
 
 
 def test_symbolic_halfline_identities():
@@ -124,6 +125,36 @@ def test_make_instance_product_and_errors():
         make_instance("nonsense")
     with pytest.raises(ValueError):
         make_instance("product:halfline")
+
+
+@pytest.mark.parametrize("spec,name", [
+    *((spec, spec) for spec in ("halfline", "cone:1", "cone:2", "twisted:2",
+                                "twisted:3", "dict2", "lattice2",
+                                *PLANTED_FAULTS)),
+    ("product:(halfline,dict2)", "product(halfline,dict2)"),
+    ("product:(cone:1,product:(lattice2,twisted:3))",
+     "product(cone:1,product(lattice2,twisted:3))"),
+    (" \tproduct:( halfline , dict2 )\n", "product(halfline,dict2)"),
+])
+def test_each_spec_builds_the_instance_it_names(spec, name):
+    assert make_instance(spec).name == name
+
+
+# each would read as a canonical spec through int() or by dropping an
+# empty product part
+@pytest.mark.parametrize("spec", [
+    "cone:1_0", "cone:+2", "cone: 2", "cone:02", "twisted:\u0662",
+    "product:(halfline,)", "product:(,halfline)", "product:(halfline, )",
+    "product: (halfline)"])
+def test_a_spec_has_one_spelling(spec):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"bad instance spec {spec!r}")):
+        make_instance(spec)
+
+
+def test_only_ascii_whitespace_around_a_spec_is_ignored():
+    with pytest.raises(ValueError, match="unknown instance"):
+        make_instance("\u00a0halfline")
 
 
 def test_dict_plane_primitives():

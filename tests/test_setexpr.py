@@ -73,6 +73,15 @@ def test_error_offsets():
             (f"{message} (at offset {offset})", offset)
 
 
+# an Arabic-Indic digit three and a no-break space, which a Unicode
+# grammar would read as 3 and as a space
+@pytest.mark.parametrize("text", ["[0,\u0663)", "[0,\u00a01)"])
+def test_the_grammar_is_ascii(text):
+    with pytest.raises(SetExprError) as e:
+        parse_set_expression(text)
+    assert e.value.offset == 3
+
+
 def test_domain_errors():
     with pytest.raises(SetExprError):
         parse_set_expression("[0,inf]")  # inf cannot be right-closed

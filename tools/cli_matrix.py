@@ -80,7 +80,9 @@ def _commands():
         # usage errors
         ["all", "nosuch"],
         ["all", "cone:abc"],
+        ["all", "cone:1_0"],
         ["all", "product:()"],
+        ["all", "product:(halfline,)"],
         ["all", "product:(" * 33 + "halfline" + ")" * 33],
         ["all", "halfline", "--budget", "0"],
         ["all", "halfline", "--budget", "x"],
@@ -102,6 +104,7 @@ def _commands():
         ["sets", "halfline", "--input", INPUT + "empty-set.txt"],
         ["bounded", "halfline", "--input", INPUT + "empty-set.txt"],
         ["sets", "halfline", "--input", INPUT + "bad-line.txt"],
+        ["sets", "halfline", "--input", INPUT + "non-ascii.txt"],
         ["audit", "--input", INPUT + "zero-denominator.txt"],
         ["sets", "cone:2", "--input", INPUT + "halfline-sets.txt"],
         ["sets", "dict2", "--input", INPUT + "no-sets.txt"],
